@@ -67,10 +67,117 @@ def _elect_numpy(residual, alive, ineligible_until, node_class, u, rnd,
     return elected
 
 
+def _nearest_dense(mx, my, hx, hy, ids):
+    """Id of every member's nearest head, over the full members x heads block.
+
+    ``argmin`` keeps the first head in ``ids`` order on ties, which is the
+    lowest id because callers pass heads in ascending id order.
+    """
+    dx = mx[:, None] - hx[None, :]
+    dy = my[:, None] - hy[None, :]
+    d2 = dx * dx + dy * dy
+    return ids[np.argmin(d2, axis=1)]
+
+
+# Members x heads work below which one dense block beats the tiled search
+# (measured; see _assign_numpy).
+_TILE_MIN_PAIRS = 40_000
+# Tiles per side are floor(sqrt(heads / _HEADS_PER_TILE)).
+_HEADS_PER_TILE = 8
+# Relative slack on the acceptance radius; covers float rounding of the box.
+_ACCEPT_SLACK = 1e-9
+# The slack holds only while coordinates are at most this many margins large.
+_MAX_COORD_PER_MARGIN = 1e4
+
+
+def _tile_edges(lo, hi, t, side):
+    """``t + 1`` ascending tile edges from ``lo``; the last covers ``hi``."""
+    edges = lo + side * np.arange(t + 1)
+    edges[-1] = max(edges[-1], hi)
+    return edges
+
+
+def _nearest_tiled(mx, my, hx, hy, ids):
+    """Exactly ``_nearest_dense(mx, my, hx, hy, ids)``, searching near heads.
+
+    Members fall into T x T square tiles over the bounding box of members
+    and heads, T = floor(sqrt(heads / 8)).  A tile's members are matched
+    against the heads inside the tile grown by a half-tile ``margin``, and a
+    result is kept only if its squared distance is below
+    ``margin**2 * (1 - 1e-9)``.  Every head outside the grown box is at
+    least ``margin`` from each member of the tile; the 1e-9 slack absorbs
+    the rounding of the box bounds and of ``dx*dx + dy*dy``, so such a head
+    can neither win nor tie.  The kept result is therefore the dense one,
+    ties included: the subset keeps the heads' order and the expression is
+    the same.  All other members fall back to the dense search over every
+    head.  Returns ``None`` when the layout is too small or too narrow to
+    tile; the caller then runs the dense search.
+    """
+    t = math.isqrt(ids.size // _HEADS_PER_TILE)
+    if t < 2:
+        return None
+    x0, x1 = min(mx.min(), hx.min()), max(mx.max(), hx.max())
+    y0, y1 = min(my.min(), hy.min()), max(my.max(), hy.max())
+    side = max(x1 - x0, y1 - y0) / t
+    margin = 0.5 * side
+    # relative rounding of coordinates this far out stays far below the slack
+    if not margin * _MAX_COORD_PER_MARGIN > max(-x0, x1, -y0, y1):
+        return None
+    accept = margin * margin * (1.0 - _ACCEPT_SLACK)
+
+    ex = _tile_edges(x0, x1, t, side)
+    ey = _tile_edges(y0, y1, t, side)
+    # a member of tile (i, j) lies in [ex[i], ex[i+1]] x [ey[j], ey[j+1]]
+    tile = (np.searchsorted(ey[1:-1], my, side="right") * t
+            + np.searchsorted(ex[1:-1], mx, side="right"))
+    order = np.argsort(tile, kind="stable")
+    bounds = np.searchsorted(tile[order], np.arange(t * t + 1)).tolist()
+    near_col = (hx >= ex[:-1, None] - margin) & (hx <= ex[1:, None] + margin)
+    near_row = (hy >= ey[:-1, None] - margin) & (hy <= ey[1:, None] + margin)
+
+    sx, sy = mx[order], my[order]
+    pos = np.full(order.size, -1)  # nearest head near the tile, as an index into ids
+    for k in range(t * t):
+        b0, b1 = bounds[k], bounds[k + 1]
+        if b0 == b1:
+            continue
+        near = np.flatnonzero(near_row[k // t] & near_col[k % t])
+        if near.size:
+            pos[b0:b1] = _nearest_dense(sx[b0:b1], sy[b0:b1], hx[near], hy[near], near)
+
+    # pos = -1 reads the last head, which is outside the grown box, so it fails
+    dx = sx - hx[pos]
+    dy = sy - hy[pos]
+    rest = np.flatnonzero(~(dx * dx + dy * dy < accept))
+    nearest = ids[pos]
+    if rest.size:
+        nearest[rest] = _nearest_dense(sx[rest], sy[rest], hx, hy, ids)
+    out = np.empty_like(nearest)
+    out[order] = nearest
+    return out
+
+
 def _assign_numpy(x, y, alive, ch_ids):
     """Nearest-head cluster assignment, ties to the lower head id.
 
     With no heads, every alive node is marked direct-to-BS.
+
+    Below ``_TILE_MIN_PAIRS`` members x heads one dense block of squared
+    distances decides.  Above it the members are bucketed into T x T square
+    tiles, T = floor(sqrt(heads / 8)), and each tile searches only the heads
+    within a half-tile margin of it; members whose nearest head may lie
+    farther out fall back to all heads (``_nearest_tiled`` gives the
+    exactness argument).  Both paths evaluate the same ``dx*dx + dy*dy``
+    and keep the lowest head id on ties, so they return identical codes.
+
+    The 40k-pair crossover was measured on engine rounds at n = 300..1000
+    on the paper's 100 m field (2-core x86-64, numpy 2.4): between about
+    15k and 60k pairs the faster path changes from round to round, and the
+    tiled path wins on most rounds above 60k.  On the same host, at
+    n = 5000 (about 300 heads, 1.4M pairs a round) assignment takes about
+    3 ms a round instead of 30 ms, and the three members x heads
+    temporaries of up to 14 MB each give way to per-tile blocks of a few
+    tens of kB; at n = 20000 (about 1400 heads) it takes about 15 ms.
     """
     n = x.shape[0]
     codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
@@ -82,11 +189,14 @@ def _assign_numpy(x, y, alive, ch_ids):
     member[ch_ids] = False
     mi = np.flatnonzero(member)
     if mi.size:
-        dx = x[mi][:, None] - x[ch_ids][None, :]
-        dy = y[mi][:, None] - y[ch_ids][None, :]
-        d2 = dx * dx + dy * dy
-        # argmin keeps the first (lowest-id) head on ties
-        codes[mi] = ch_ids[np.argmin(d2, axis=1)]
+        mx, my, hx, hy = x[mi], y[mi], x[ch_ids], y[ch_ids]
+        if mi.size * ch_ids.size < _TILE_MIN_PAIRS:
+            codes[mi] = _nearest_dense(mx, my, hx, hy, ch_ids)
+        else:
+            nearest = _nearest_tiled(mx, my, hx, hy, ch_ids)
+            if nearest is None:
+                nearest = _nearest_dense(mx, my, hx, hy, ch_ids)
+            codes[mi] = nearest
     return codes
 
 

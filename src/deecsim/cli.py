@@ -147,6 +147,21 @@ def resolve_spec_path(spec: str) -> Path:
     raise SpecError(f"spec file not found: {spec}")
 
 
+def _parse_protocols(raw: str, label: str) -> tuple[Protocol, ...]:
+    """Parse a comma-separated protocol list; ``label`` prefixes errors."""
+    try:
+        protocols = tuple(
+            Protocol(token.strip().lower()) for token in raw.split(",") if token.strip()
+        )
+    except ValueError as exc:
+        raise SpecError(f"{label}: {exc}") from exc
+    if not protocols:
+        raise SpecError(f"{label} must name at least one protocol")
+    if len(set(protocols)) != len(protocols):
+        raise SpecError(f"{label} lists a protocol twice")
+    return protocols
+
+
 def load_spec(path: str | Path) -> ExperimentSpec:
     """Parse and validate an experiment spec file.
 
@@ -159,8 +174,6 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise SpecError(f"{path}: {exc}") from exc
 
@@ -225,18 +238,7 @@ def load_spec(path: str | Path) -> ExperimentSpec:
     raw_protocols = _get(
         parser, "experiment", "protocols", str, "deec,ddeec,edeec,eddeec", where
     )
-    try:
-        protocols = tuple(
-            Protocol(token.strip().lower())
-            for token in raw_protocols.split(",")
-            if token.strip()
-        )
-    except ValueError as exc:
-        raise SpecError(f"{where}: [experiment] protocols: {exc}") from exc
-    if not protocols:
-        raise SpecError(f"{where}: [experiment] protocols must name at least one protocol")
-    if len(set(protocols)) != len(protocols):
-        raise SpecError(f"{where}: [experiment] protocols lists a protocol twice")
+    protocols = _parse_protocols(raw_protocols, f"{where}: [experiment] protocols")
 
     base_seed = _get(parser, "experiment", "base_seed", int, None, where)
     seed_count = _get(parser, "experiment", "seed_count", int, None, where)
@@ -248,6 +250,8 @@ def load_spec(path: str | Path) -> ExperimentSpec:
             raise SpecError(f"{where}: [experiment] seeds: {exc}") from exc
         if not seeds:
             raise SpecError(f"{where}: [experiment] seeds is empty")
+        if len(set(seeds)) != len(seeds):
+            raise SpecError(f"{where}: [experiment] seeds lists a seed twice")
     elif base_seed is not None and seed_count is not None:
         if seed_count < 1:
             raise SpecError(f"{where}: [experiment] seed_count must be at least 1")
@@ -448,17 +452,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
             raise SpecError("--seed-count needs a base_seed in the spec file")
         spec = replace(spec, seeds=derive_seeds(spec.base_seed, args.seed_count))
     if args.protocols is not None:
-        try:
-            protocols = tuple(
-                Protocol(tok.strip().lower())
-                for tok in args.protocols.split(",")
-                if tok.strip()
-            )
-        except ValueError as exc:
-            raise SpecError(f"--protocols: {exc}") from exc
-        if not protocols:
-            raise SpecError("--protocols must name at least one protocol")
-        spec = replace(spec, protocols=protocols)
+        spec = replace(spec, protocols=_parse_protocols(args.protocols, "--protocols"))
     if args.profile is not None:
         spec = replace(spec, radio=RADIO_PROFILES[args.profile])
     if args.emit is not None:

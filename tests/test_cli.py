@@ -137,6 +137,18 @@ class TestLoadSpec:
         path.write_text("[experiment]\nseeds = 5, 6, 7\n")
         assert load_spec(path).seeds == (5, 6, 7)
 
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text("[experiment]\nseeds = 1, 2, 1\n")
+        with pytest.raises(SpecError, match="seeds lists a seed twice"):
+            load_spec(path)
+
+    def test_duplicate_protocols_rejected(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text("[experiment]\nprotocols = deec, DEEC\nseeds = 1\n")
+        with pytest.raises(SpecError, match="protocols lists a protocol twice"):
+            load_spec(path)
+
     def test_missing_file(self):
         with pytest.raises(SpecError, match="not found"):
             load_spec("no-such-spec.cfg")
@@ -219,6 +231,20 @@ class TestMain:
     def test_bad_protocol_flag(self, tmp_path, capsys):
         path = write_tiny_spec(tmp_path, tmp_path / "r")
         assert main(["run", str(path), "--protocols", "leach"]) == EXIT_VALIDATION
+
+    def test_duplicate_protocol_flag(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out)
+        assert main(["run", str(path), "--protocols", "deec,deec"]) == EXIT_VALIDATION
+        assert "--protocols lists a protocol twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_duplicate_seed_list(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out, extra="seeds = 1, 1\n")
+        assert main(["run", str(path), "--protocols", "deec"]) == EXIT_VALIDATION
+        assert "seeds lists a seed twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_emit_subset(self, tmp_path):
         out = tmp_path / "results"

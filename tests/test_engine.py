@@ -1,9 +1,13 @@
 import json
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from deecsim import _kernels
 from deecsim import (
     ASSIGN_CH,
     ASSIGN_DIRECT_BS,
@@ -155,6 +159,154 @@ class TestFormClusters:
         assert codes[3] == ASSIGN_NONE
         alive = np.flatnonzero(sim.alive)
         assert (codes[alive] == ASSIGN_DIRECT_BS).all()
+
+
+def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
+    """Random positions, optional snapping to a coarse lattice, random deaths
+    and ``heads`` alive heads in ascending id order."""
+    rng = np.random.default_rng(seed)
+    x = rng.random(n) * side
+    y = rng.random(n) * side
+    if lattice is not None:
+        x = np.round(x / lattice) * lattice
+        y = np.round(y / lattice) * lattice
+    alive = rng.random(n) >= dead_frac
+    alive_ids = np.flatnonzero(alive)
+    ch_ids = np.sort(rng.choice(alive_ids, size=min(heads, alive_ids.size), replace=False))
+    return x, y, alive, ch_ids.astype(np.int64)
+
+
+def _pairs(alive, ch_ids):
+    return (int(alive.sum()) - ch_ids.size) * ch_ids.size
+
+
+def _assert_matches_brute_force(x, y, alive, ch_ids):
+    # the un-jitted loop flavor visits every head in id order: the reference
+    expected = _kernels._assign_loop(x, y, alive, ch_ids)
+    assert np.array_equal(_kernels._assign_numpy(x, y, alive, ch_ids), expected)
+
+
+# the tiled path at layouts small enough for the pure-Python reference
+_always_tiled = mock.patch.object(_kernels, "_TILE_MIN_PAIRS", 0)
+
+
+class TestAssignExactness:
+    """The numpy assignment equals a brute-force scan on both of its paths."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           heads=st.integers(0, 25), dead_frac=st.sampled_from([0.0, 0.3]))
+    @settings(max_examples=60, deadline=None)
+    def test_below_crossover(self, seed, n, heads, dead_frac):
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        assert _pairs(alive, ch_ids) < _kernels._TILE_MIN_PAIRS
+        _assert_matches_brute_force(x, y, alive, ch_ids)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(900, 1100),
+           heads=st.integers(70, 100), lattice=st.sampled_from([None, 5.0]))
+    @settings(max_examples=12, deadline=None)
+    def test_above_crossover(self, seed, n, heads, lattice):
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, lattice=lattice, dead_frac=0.1)
+        assert _pairs(alive, ch_ids) >= _kernels._TILE_MIN_PAIRS
+        _assert_matches_brute_force(x, y, alive, ch_ids)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 300),
+           heads=st.integers(32, 60), lattice=st.sampled_from([1.0, 2.0, 10.0]),
+           side=st.sampled_from([10.0, 50.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_ties_and_duplicates(self, seed, n, heads, lattice, side):
+        # a coarse integer lattice makes equal distances and shared positions common
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice)
+        with _always_tiled:
+            _assert_matches_brute_force(x, y, alive, ch_ids)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(80, 300),
+           heads=st.integers(32, 80))
+    @settings(max_examples=60, deadline=None)
+    def test_heads_on_tile_edges(self, seed, n, heads):
+        side = 64.0
+        t = int(np.sqrt(heads // 8))
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=side / (2 * t))
+        rng = np.random.default_rng(seed)
+        x[ch_ids] = rng.integers(0, t + 1, ch_ids.size) * (side / t)
+        y[ch_ids] = rng.integers(0, t + 1, ch_ids.size) * (side / t)
+        # two members pin the bounding box to [0, side], so the edges are k * side / t
+        x = np.append(x, [0.0, side])
+        y = np.append(y, [0.0, side])
+        alive = np.append(alive, [True, True])
+        with _always_tiled:
+            _assert_matches_brute_force(x, y, alive, ch_ids)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(80, 300),
+           heads=st.integers(33, 60))
+    @settings(max_examples=40, deadline=None)
+    def test_heads_in_one_corner_fall_back(self, seed, n, heads):
+        x, y, alive, ch_ids = _random_layout(seed, n, heads)
+        x[ch_ids] *= 0.05
+        y[ch_ids] *= 0.05
+        # a member in the far corner, whose tile has no head near it
+        ch_ids = ch_ids[ch_ids != 0]
+        x[0] = y[0] = 100.0
+        spy = mock.patch.object(_kernels, "_nearest_dense", wraps=_kernels._nearest_dense)
+        with _always_tiled, spy as dense:
+            _assert_matches_brute_force(x, y, alive, ch_ids)
+        # the last call is the fallback search over every head
+        fallback_members, _, fallback_heads = dense.call_args.args[:3]
+        assert 100.0 in fallback_members
+        assert fallback_heads.size == ch_ids.size
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_head_just_outside_the_grown_box(self, transpose):
+        # 32 heads over [0, 64]^2 give 2 x 2 tiles of side 32 and a 16 m
+        # margin.  The member sits on the left edge of the right column; head
+        # 0 lies just outside that tile's grown box, 1 mm nearer than head 1
+        # inside it, so the member must not keep the in-box result.
+        delta = 1e-3
+        hx = [16.0 - delta, 48.0 + 2 * delta] + list(np.linspace(0.0, 64.0, 30))
+        hy = [8.0, 8.0] + [64.0] * 30
+        x = np.array(hx + [32.0, 0.0, 64.0])
+        y = np.array(hy + [8.0, 0.0, 64.0])
+        if transpose:
+            x, y = y, x
+        alive = np.ones(x.size, dtype=bool)
+        ch_ids = np.arange(32, dtype=np.int64)
+        with _always_tiled:
+            codes = _kernels._assign_numpy(x, y, alive, ch_ids)
+            _assert_matches_brute_force(x, y, alive, ch_ids)
+        assert codes[32] == 0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           heads=st.integers(0, 40), dead_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_dead_nodes_and_few_heads(self, seed, n, heads, dead_frac):
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        with _always_tiled:
+            _assert_matches_brute_force(x, y, alive, ch_ids)
+            _assert_matches_brute_force(x, y, alive, ch_ids[:1])
+
+    def test_dense_5k_run_matches_dense_block(self, het_sec3, geometry_100):
+        config = NetworkConfig(
+            n=5000, geometry=geometry_100, radio=LEACH, het=het_sec3,
+            protocol=ProtocolConfig(kind=Protocol.EDDEEC, c=0.1), seed=42, max_rounds=12,
+        )
+        sim = Simulation(config, backend="numpy")
+        for _ in range(12):
+            ch_ids = sim.elect_cluster_heads()
+            spy = mock.patch.object(_kernels, "_nearest_dense", wraps=_kernels._nearest_dense)
+            with spy as dense:
+                codes = sim.form_clusters(ch_ids)
+            member = sim.alive.copy()
+            member[ch_ids] = False
+            mi = np.flatnonzero(member)
+            # tiled: no distance block comes near the full members x heads one
+            blocks = [call.args[0].size * call.args[2].size for call in dense.call_args_list]
+            assert max(blocks) * 20 < mi.size * ch_ids.size
+            expected = np.full(config.n, ASSIGN_NONE, dtype=np.int64)
+            expected[ch_ids] = ASSIGN_CH
+            expected[mi] = _kernels._nearest_dense(
+                sim.x[mi], sim.y[mi], sim.x[ch_ids], sim.y[ch_ids], ch_ids
+            )
+            assert np.array_equal(codes, expected), sim.round
+            sim.steady_state(codes)
 
 
 class TestSteadyState:
