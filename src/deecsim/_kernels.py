@@ -20,13 +20,12 @@ from typing import Callable
 
 import numpy as np
 
+from .protocols import _EPOCH_LIMIT
+
 # Assignment codes (per node, per round).
 ASSIGN_NONE = -3  # dead this round
 ASSIGN_CH = -2  # node is a cluster head
 ASSIGN_DIRECT_BS = -1  # no head elected; node uplinks straight to the BS
-
-# Epoch lengths round(1/p) beyond this exceed exact float64 integers.
-_EPOCH_LIMIT = 2.0**53
 
 ENV_VAR = "DEECSIM_BACKEND"
 
@@ -43,28 +42,39 @@ except ImportError:  # pragma: no cover - exercised only without numba
 # numpy flavor
 
 
-def _elect_numpy(residual, alive, ineligible_until, node_class, u, rnd,
-                 p_opt, denom, w_normal, w_adv, w_super, t_low, w_low, p_max):
-    """Threshold-draw election for one round.
+def _elect_numpy(residual, alive, ineligible_until, u, rnd,
+                 pw, denom, t_low, pw_low, p_max):
+    """Threshold-draw election for one round; returns the elected ids.
 
-    Every node id owns one entry of ``u``; entries of dead or ineligible
-    nodes are skipped.  Elected nodes leave the eligible set for
-    ``round(1/p)`` rounds.  Returns the elected mask.
+    ``pw`` is each node's ``p_opt * w_class`` and ``pw_low`` the
+    ``p_opt * w_low`` that replaces it at or below ``t_low`` (a negative
+    ``t_low`` disables the rule), so ``p = min(pw * e / denom, p_max)``.
+    Every node id owns one entry of ``u``; only alive, eligible nodes with
+    ``p > 0`` draw.  Elected nodes leave the eligible set for
+    ``round(1/p)`` rounds.
     """
     e = residual
-    w = np.where(node_class == 0, w_normal, np.where(node_class == 1, w_adv, w_super))
     if t_low >= 0.0:
-        w = np.where(e <= t_low, w_low, w)
-    p = np.minimum(p_opt * w * e / denom, p_max)
-    with np.errstate(divide="ignore"):
-        inv = 1.0 / p
-    epoch = np.rint(np.minimum(inv, _EPOCH_LIMIT)).astype(np.int64)
-    rmod = rnd % epoch
-    t = np.minimum(p / (1.0 - p * rmod), 1.0)
-    eligible = alive & (ineligible_until <= rnd) & (p > 0.0)
-    elected = eligible & (u < t)
-    ineligible_until[elected] = rnd + epoch[elected]
-    return elected
+        pw = np.where(e <= t_low, pw_low, pw)
+    p = np.minimum(pw * e / denom, p_max)
+    cand = (alive & (ineligible_until <= rnd) & (p > 0.0)).nonzero()[0]
+    p = p[cand]
+    epoch = np.rint(np.minimum(1.0 / p, _EPOCH_LIMIT)).astype(np.int64)
+    t = np.minimum(p / (1.0 - p * (rnd % epoch)), 1.0)
+    won = u[cand] < t
+    heads = cand[won]
+    ineligible_until[heads] = rnd + epoch[won]
+    return heads
+
+
+def _transmit(d, bits, e_elec, eps_fs, eps_mp, d0):
+    """First-order radio cost of sending ``bits`` over distances ``d``.
+
+    ``bits*e_elec + bits*eps_fs*d**2`` below ``d0`` and
+    ``bits*e_elec + bits*eps_mp*d**4`` at or above it.
+    """
+    d2 = d * d
+    return bits * e_elec + np.where(d < d0, bits * eps_fs * d2, bits * eps_mp * (d2 * d2))
 
 
 def _nearest_dense(mx, my, hx, hy, ids):
@@ -187,7 +197,7 @@ def _assign_numpy(x, y, alive, ch_ids):
     codes[ch_ids] = ASSIGN_CH
     member = alive.copy()
     member[ch_ids] = False
-    mi = np.flatnonzero(member)
+    mi = member.nonzero()[0]
     if mi.size:
         mx, my, hx, hy = x[mi], y[mi], x[ch_ids], y[ch_ids]
         if mi.size * ch_ids.size < _TILE_MIN_PAIRS:
@@ -200,61 +210,45 @@ def _assign_numpy(x, y, alive, ch_ids):
     return codes
 
 
-def _steady_numpy(x, y, dist_to_bs, residual, alive, codes,
+def _steady_numpy(x, y, tx_bs, residual, alive, codes,
                   bits, e_elec, eps_fs, eps_mp, e_da, d0):
     """Steady-state data transfer: charge every alive node once.
 
     Members transmit to their head over the actual distance; each head is
     charged reception per member, aggregation over members + 1 signals, and
-    one transmission to the BS; direct nodes transmit to the BS.  Nodes
-    complete the round's action even when it kills them (clamped at zero;
-    the shortfall is reported as overdraft).
+    its transmission to the BS, ``tx_bs``; direct nodes pay ``tx_bs``.
+    Nodes complete the round's action even when it kills them (clamped at
+    zero; the shortfall is reported as overdraft).
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
-    electronics = bits * e_elec
 
-    mi = np.flatnonzero(codes >= 0)
+    mi = (codes >= 0).nonzero()[0]
     if mi.size:
         head = codes[mi]
         dx = x[mi] - x[head]
         dy = y[mi] - y[head]
-        d = np.sqrt(dx * dx + dy * dy)
-        d2 = d * d
-        charge[mi] = np.where(
-            d < d0,
-            electronics + bits * eps_fs * d2,
-            electronics + bits * eps_mp * (d2 * d2),
-        )
+        charge[mi] = _transmit(np.sqrt(dx * dx + dy * dy), bits, e_elec, eps_fs, eps_mp, d0)
 
-    di = np.flatnonzero(codes == ASSIGN_DIRECT_BS)
+    di = (codes == ASSIGN_DIRECT_BS).nonzero()[0]
     if di.size:
-        d = dist_to_bs[di]
-        d2 = d * d
-        charge[di] = np.where(
-            d < d0,
-            electronics + bits * eps_fs * d2,
-            electronics + bits * eps_mp * (d2 * d2),
-        )
+        charge[di] = tx_bs[di]
 
-    ch = np.flatnonzero(codes == ASSIGN_CH)
+    ch = (codes == ASSIGN_CH).nonzero()[0]
     if ch.size:
-        counts = np.bincount(codes[mi], minlength=n)[ch].astype(np.float64) if mi.size \
+        counts = np.bincount(head, minlength=n)[ch].astype(np.float64) if mi.size \
             else np.zeros(ch.size, dtype=np.float64)
-        d = dist_to_bs[ch]
-        d2 = d * d
-        tx_bs = np.where(
-            d < d0,
-            electronics + bits * eps_fs * d2,
-            electronics + bits * eps_mp * (d2 * d2),
-        )
-        charge[ch] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs
+        electronics = bits * e_elec
+        charge[ch] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[ch]
 
     remaining = residual - charge
-    dying = alive & (remaining <= 0.0)
-    overdraft = np.where(dying, charge - residual, 0.0)
-    residual[:] = np.where(alive, np.maximum(remaining, 0.0), residual)
-    alive &= remaining > 0.0
+    overdraft = np.zeros(n, dtype=np.float64)
+    dying = (alive & (remaining <= 0.0)).nonzero()[0]
+    if dying.size:
+        overdraft[dying] = charge[dying] - residual[dying]
+        remaining[dying] = np.maximum(remaining[dying], 0.0)
+    np.copyto(residual, remaining, where=alive)
+    alive[dying] = False
 
     packets_to_ch = int(mi.size)
     packets_to_bs = int(ch.size + di.size)
@@ -265,23 +259,19 @@ def _steady_numpy(x, y, dist_to_bs, residual, alive, codes,
 # numba flavor: same arithmetic, loop form
 
 
-def _elect_loop(residual, alive, ineligible_until, node_class, u, rnd,
-                p_opt, denom, w_normal, w_adv, w_super, t_low, w_low, p_max):
+def _elect_loop(residual, alive, ineligible_until, u, rnd,
+                pw, denom, t_low, pw_low, p_max):
     n = residual.shape[0]
-    elected = np.zeros(n, dtype=np.bool_)
+    heads = np.empty(n, dtype=np.int64)
+    k = 0
     for i in range(n):
         if not alive[i] or ineligible_until[i] > rnd:
             continue
         e = residual[i]
-        if node_class[i] == 0:
-            w = w_normal
-        elif node_class[i] == 1:
-            w = w_adv
-        else:
-            w = w_super
+        w = pw[i]
         if t_low >= 0.0 and e <= t_low:
-            w = w_low
-        p = p_opt * w * e / denom
+            w = pw_low
+        p = w * e / denom
         if p > p_max:
             p = p_max
         if p <= 0.0:
@@ -295,9 +285,10 @@ def _elect_loop(residual, alive, ineligible_until, node_class, u, rnd,
         if t > 1.0:
             t = 1.0
         if u[i] < t:
-            elected[i] = True
+            heads[k] = i
+            k += 1
             ineligible_until[i] = rnd + epoch
-    return elected
+    return heads[:k]
 
 
 def _assign_loop(x, y, alive, ch_ids):
@@ -327,7 +318,7 @@ def _assign_loop(x, y, alive, ch_ids):
     return codes
 
 
-def _steady_loop(x, y, dist_to_bs, residual, alive, codes,
+def _steady_loop(x, y, tx_bs, residual, alive, codes,
                  bits, e_elec, eps_fs, eps_mp, e_da, d0):
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -351,24 +342,13 @@ def _steady_loop(x, y, dist_to_bs, residual, alive, codes,
             member_count[code] += 1
             packets_to_ch += 1
         elif code == ASSIGN_DIRECT_BS:
-            d = dist_to_bs[i]
-            d2 = d * d
-            if d < d0:
-                charge[i] = electronics + bits * eps_fs * d2
-            else:
-                charge[i] = electronics + bits * eps_mp * (d2 * d2)
+            charge[i] = tx_bs[i]
             packets_to_bs += 1
 
     for i in range(n):
         if codes[i] == ASSIGN_CH:
-            d = dist_to_bs[i]
-            d2 = d * d
-            if d < d0:
-                tx_bs = electronics + bits * eps_fs * d2
-            else:
-                tx_bs = electronics + bits * eps_mp * (d2 * d2)
             counts = np.float64(member_count[i])
-            charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs
+            charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[i]
             packets_to_bs += 1
 
     for i in range(n):

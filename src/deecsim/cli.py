@@ -162,12 +162,14 @@ def _parse_protocols(raw: str, label: str) -> tuple[Protocol, ...]:
     return protocols
 
 
-def load_spec(path: str | Path) -> ExperimentSpec:
+def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
     """Parse and validate an experiment spec file.
 
     All radio/network parameters default to the ``table1-verbatim`` profile
     and its benchmark scenario; the seed source (``seeds`` or ``base_seed``
-    + ``seed_count``) is mandatory.
+    + ``seed_count``) is mandatory.  A ``profile`` replaces the spec's
+    ``[radio] profile`` key; the spec's per-key radio values still apply on
+    top of it.
     """
     path = resolve_spec_path(str(path))
     parser = configparser.ConfigParser(interpolation=None)
@@ -176,6 +178,10 @@ def load_spec(path: str | Path) -> ExperimentSpec:
             parser.read_file(f, source=str(path))
     except configparser.Error as exc:
         raise SpecError(f"{path}: {exc}") from exc
+    if profile is not None:
+        if not parser.has_section("radio"):
+            parser.add_section("radio")
+        parser.set("radio", "profile", profile)
 
     where = str(path)
     for section in parser.sections():
@@ -432,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--profile",
         choices=sorted(RADIO_PROFILES),
-        help="replace the radio constants with a named profile",
+        help="radio profile to use in place of the spec's; the spec's per-key "
+        "radio values still apply",
     )
     run_p.add_argument(
         "--emit",
@@ -453,8 +460,6 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
         spec = replace(spec, seeds=derive_seeds(spec.base_seed, args.seed_count))
     if args.protocols is not None:
         spec = replace(spec, protocols=_parse_protocols(args.protocols, "--protocols"))
-    if args.profile is not None:
-        spec = replace(spec, radio=RADIO_PROFILES[args.profile])
     if args.emit is not None:
         emit = tuple(tok.strip().lower() for tok in args.emit.split(",") if tok.strip())
         unknown = set(emit) - set(EMIT_CHOICES)
@@ -471,7 +476,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        spec = load_spec(args.spec)
+        spec = load_spec(args.spec, profile=args.profile)
         spec = _apply_overrides(spec, args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, Backend, get_backend
+from ._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, Backend, _transmit, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, NodeState, RadioParams
 from .protocols import (
@@ -117,9 +117,20 @@ class Simulation:
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
             n, config.geometry, config.radio, config.het
         )
-        self._weights = proto.class_weights(config.protocol.kind, config.het)
-        self._t_low, self._w_low = proto.low_energy_rule(
+
+        # Run constants: the kernels see only what changes from round to round.
+        p_opt = config.protocol.p_opt
+        weights = proto.class_weights(config.protocol.kind, config.het)
+        self._pw = np.array([p_opt * w for w in weights], dtype=np.float64)[node_class]
+        self._t_low, w_low = proto.low_energy_rule(
             config.protocol.kind, config.protocol, config.het
+        )
+        self._pw_low = p_opt * w_low
+        self._energy_factor = config.het.total_energy_factor
+        radio = config.radio
+        self.tx_bs = _transmit(
+            self.dist_to_bs, float(radio.message_bits), radio.e_elec, radio.eps_fs,
+            radio.eps_mp, radio.d0,
         )
         self.round = 0
 
@@ -149,26 +160,20 @@ class Simulation:
 
     def elect_cluster_heads(self) -> np.ndarray:
         """Run the election draws for the current round; returns head ids."""
-        cfg = self.config.protocol
         u = self.rng.random(self.config.n)
-        denom = self.config.het.total_energy_factor * self.average_energy()
-        elected = self.kernels.elect(
+        denom = self._energy_factor * self.average_energy()
+        return self.kernels.elect(
             self.residual,
             self.alive,
             self.ineligible_until,
-            self.node_class,
             u,
             self.round,
-            cfg.p_opt,
+            self._pw,
             denom,
-            self._weights[0],
-            self._weights[1],
-            self._weights[2],
             self._t_low,
-            self._w_low,
+            self._pw_low,
             P_MAX,
         )
-        return np.flatnonzero(elected)
 
     def form_clusters(self, ch_ids: np.ndarray) -> np.ndarray:
         """Assign every alive non-head node to its nearest head (ties to the
@@ -181,7 +186,7 @@ class Simulation:
         charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
             self.x,
             self.y,
-            self.dist_to_bs,
+            self.tx_bs,
             self.residual,
             self.alive,
             assignment_codes,
@@ -194,7 +199,7 @@ class Simulation:
         )
         outcome = RoundOutcome(
             round=self.round,
-            ch_ids=np.flatnonzero(assignment_codes == ASSIGN_CH),
+            ch_ids=(assignment_codes == ASSIGN_CH).nonzero()[0],
             assignment_codes=assignment_codes,
             packets_to_bs=int(packets_to_bs),
             packets_to_ch=int(packets_to_ch),
@@ -224,11 +229,13 @@ def run(config: NetworkConfig, backend: str | Backend | None = None) -> SimResul
     overdraft = []
     total_bs = 0
     total_ch = 0
-    while sim.round < config.max_rounds and sim.alive_count() > 0:
+    alive_now = sim.alive_count()
+    while sim.round < config.max_rounds and alive_now > 0:
         out = sim.step()
+        alive_now = out.alive_after
         total_bs += out.packets_to_bs
         total_ch += out.packets_to_ch
-        alive.append(out.alive_after)
+        alive.append(alive_now)
         packets_bs.append(total_bs)
         packets_ch.append(total_ch)
         residual.append(out.total_residual_after)

@@ -41,5 +41,8 @@ def config_sec3(het_sec3, geometry_100):
 
 @pytest.fixture(params=["numpy", "numba"])
 def backend(request):
-    """Run kernel-facing tests on both backend flavors."""
+    """Run kernel-facing tests on both backend flavors; the numba cases skip
+    when the optional ``numba`` extra is not installed."""
+    if request.param == "numba":
+        pytest.importorskip("numba")
     return request.param

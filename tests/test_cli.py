@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from deecsim import Protocol
+from deecsim import RADIO_PROFILES, Protocol
+from deecsim import cli
 from deecsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -278,6 +279,22 @@ class TestMain:
         leach_rows = len((out_leach / "series_eddeec.csv").read_text().splitlines())
         verbatim_rows = len((out_verbatim / "series_eddeec.csv").read_text().splitlines())
         assert verbatim_rows < leach_rows / 2
+
+    def test_profile_flag_keeps_per_key_radio_values(self, tmp_path, monkeypatch):
+        # --profile acts as the spec's [radio] profile key; the spec's own
+        # radio keys still apply on top of the named profile
+        path = tmp_path / "spec.cfg"
+        path.write_text(
+            TINY_SPEC.replace("profile = leach-standard",
+                              "profile = table1-verbatim\nmessage_bits = 2000")
+        )
+        resolved = []
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: resolved.append(spec) or EXIT_OK)
+        assert main(["run", str(path), "--profile", "leach-standard"]) == EXIT_OK
+        radio = resolved[0].radio
+        assert radio.eps_fs == RADIO_PROFILES["leach-standard"].eps_fs
+        assert radio.message_bits == 2000
+        assert load_spec(path).radio.eps_fs == RADIO_PROFILES["table1-verbatim"].eps_fs
 
     def test_output_dir_override(self, tmp_path):
         override = tmp_path / "elsewhere"

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -26,6 +28,9 @@ from deecsim import (
     summarize,
     tx_energy,
 )
+from deecsim._kernels import Backend
+from deecsim.metrics import SimResult
+from deecsim.protocols import _EPOCH_LIMIT, P_MAX
 
 DATA = Path(__file__).parent / "data"
 LEACH = RADIO_PROFILES["leach-standard"]
@@ -309,6 +314,98 @@ class TestAssignExactness:
             sim.steady_state(codes)
 
 
+@st.composite
+def election_cases(draw):
+    """Inputs of one election round, covering dead and zero-energy nodes,
+    ``e == t_low``, clamping at ``P_MAX``, epochs at ``_EPOCH_LIMIT`` and
+    nodes that are not yet eligible."""
+    n = draw(st.integers(1, 40))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    # 1e-300 J gives p near 1e-302: 1/p is far past _EPOCH_LIMIT yet finite
+    energy = st.one_of(st.just(0.0), st.floats(1e-300, 1e-15), st.floats(1e-3, 5.0))
+    residual = np.array(column(energy), dtype=np.float64)
+    rnd = draw(st.integers(0, 10_000))
+    return {
+        "residual": residual,
+        "alive": np.array(column(st.booleans()), dtype=np.bool_),
+        "ineligible_until": np.array(column(st.integers(0, 2 * rnd + 2)), dtype=np.int64),
+        "u": np.array(column(st.floats(0.0, 1.0, exclude_max=True)), dtype=np.float64),
+        "rnd": rnd,
+        # p_opt * class weight for p_opt = 0.1 and weights 1, 1+a, 1+b
+        "pw": np.array(column(st.sampled_from([0.1 * w for w in (1.0, 3.0, 4.5)])),
+                       dtype=np.float64),
+        # 1e-3 pushes most p past P_MAX
+        "denom": draw(st.sampled_from([1e-3, 0.214, 1.07, 5.0])),
+        # the rule off, or its threshold exactly at one node's residual
+        "t_low": draw(st.one_of(st.just(-1.0), st.sampled_from(residual.tolist()))),
+        # p_opt * w_low for EDDEEC at c = 0.1 and for DDEEC
+        "pw_low": draw(st.sampled_from([0.1 * (0.1 * 4.5), 0.1 * 3.0])),
+        "p_max": P_MAX,
+    }
+
+
+def _elect(kernel, case):
+    case = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in case.items()}
+    heads = kernel(**case)
+    return heads, case["ineligible_until"]
+
+
+class TestElectionKernels:
+    @given(case=election_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_equals_loop(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by a zero probability
+            heads, ineligible = _elect(_kernels._elect_numpy, case)
+        expected_heads, expected_ineligible = _elect(_kernels._elect_loop, case)
+        assert heads.dtype == np.int64
+        assert np.array_equal(heads, expected_heads)
+        assert np.array_equal(ineligible, expected_ineligible)
+
+    def test_covers_clamp_and_epoch_limit(self):
+        # p = min(0.45 * 5 / 1e-3, P_MAX) draws with epoch 1; p near 1e-302
+        # draws with the epoch capped at _EPOCH_LIMIT
+        case = {
+            "residual": np.array([5.0, 1e-300]), "alive": np.ones(2, dtype=np.bool_),
+            "ineligible_until": np.zeros(2, dtype=np.int64), "u": np.array([0.5, 0.0]),
+            "rnd": 7, "pw": np.array([0.45, 0.45]), "denom": 1e-3, "t_low": -1.0,
+            "pw_low": 0.0, "p_max": P_MAX,
+        }
+        heads, ineligible = _elect(_kernels._elect_numpy, case)
+        assert heads.tolist() == [0, 1]
+        assert ineligible.tolist() == [8, 7 + int(_EPOCH_LIMIT)]
+
+
+# the loop flavor without numba: the same kernels, run as plain Python
+LOOP_BACKEND = Backend("loop", _kernels._elect_loop, _kernels._assign_loop,
+                       _kernels._steady_loop)
+
+
+class TestLoopFlavorParity:
+    """The un-jitted loop kernels reproduce the numpy flavor run for run."""
+
+    @pytest.mark.parametrize("kind, extra", [
+        (Protocol.DEEC, {}),
+        (Protocol.DDEEC, {}),
+        (Protocol.EDDEEC, {"c": 0.1}),
+    ])
+    def test_identical_runs(self, config_sec3, kind, extra):
+        # the verbatim radio kills nodes within tens of rounds: deaths, dead
+        # nodes and rounds without heads all occur before the cap
+        config = config_sec3(kind=kind, seed=1, max_rounds=150, radio="table1-verbatim",
+                             **extra)
+        a = run(config, backend="numpy")
+        b = run(config, backend=LOOP_BACKEND)
+        for field in dataclasses.fields(SimResult):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+        assert a.alive[-1] < config.n // 10
+        assert (a.ch_count == 0).any()
+        assert (a.overdraft_j > 0).any()
+
+
 class TestSteadyState:
     def _charges_oracle(self, sim, codes):
         """Recompute every node's round charge from the public scalar model."""
@@ -458,6 +555,7 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("kind", [Protocol.DEEC, Protocol.EDDEEC])
     @pytest.mark.parametrize("seed", [1, 2])
     def test_bit_identical_runs(self, config_sec3, kind, seed):
+        pytest.importorskip("numba")
         a = run(config_sec3(kind=kind, seed=seed, c=0.1), backend="numpy")
         b = run(config_sec3(kind=kind, seed=seed, c=0.1), backend="numba")
         for field in ("alive", "packets_bs", "packets_ch", "residual_j", "ch_count",
