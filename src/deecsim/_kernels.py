@@ -1,20 +1,15 @@
-"""Per-round simulation kernels in two interchangeable flavors.
+"""Per-round simulation kernels: election draws, nearest-head assignment
+and steady-state charging, vectorized with numpy.
 
-The numba flavor compiles the per-node loops with ``@njit``; the numpy
-flavor vectorizes the same arithmetic.  Both evaluate identical
-floating-point expressions in identical order, so a simulation run is
-bit-for-bit reproducible across backends.
-
-Backend selection: the ``DEECSIM_BACKEND`` environment variable ("numba" or
-"numpy"), overridable per call via :func:`get_backend`.  The default is
-numba when importable, else the numpy fallback.
+A :class:`Backend` bundles the three; :func:`get_backend` returns the only
+set, named ``"numpy"``.  ``Simulation`` accepts another ``Backend`` with the
+same signatures and return values; the test suite passes one-node-at-a-time
+reference kernels that way and requires bit-identical runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,20 +21,6 @@ from .protocols import _EPOCH_LIMIT
 ASSIGN_NONE = -3  # dead this round
 ASSIGN_CH = -2  # node is a cluster head
 ASSIGN_DIRECT_BS = -1  # no head elected; node uplinks straight to the BS
-
-ENV_VAR = "DEECSIM_BACKEND"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# numpy flavor
 
 
 def _elect_numpy(residual, alive, ineligible_until, u, rnd,
@@ -218,7 +199,8 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
     charged reception per member, aggregation over members + 1 signals, and
     its transmission to the BS, ``tx_bs``; direct nodes pay ``tx_bs``.
     Nodes complete the round's action even when it kills them (clamped at
-    zero; the shortfall is reported as overdraft).
+    zero; the shortfall is reported as overdraft).  Returns per-node charge
+    and overdraft, the packet counts, and the head ids in ascending order.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -252,128 +234,13 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
 
     packets_to_ch = int(mi.size)
     packets_to_bs = int(ch.size + di.size)
-    return charge, overdraft, packets_to_bs, packets_to_ch
-
-
-# ---------------------------------------------------------------------------
-# numba flavor: same arithmetic, loop form
-
-
-def _elect_loop(residual, alive, ineligible_until, u, rnd,
-                pw, denom, t_low, pw_low, p_max):
-    n = residual.shape[0]
-    heads = np.empty(n, dtype=np.int64)
-    k = 0
-    for i in range(n):
-        if not alive[i] or ineligible_until[i] > rnd:
-            continue
-        e = residual[i]
-        w = pw[i]
-        if t_low >= 0.0 and e <= t_low:
-            w = pw_low
-        p = w * e / denom
-        if p > p_max:
-            p = p_max
-        if p <= 0.0:
-            continue
-        inv = 1.0 / p
-        if inv > _EPOCH_LIMIT:
-            inv = _EPOCH_LIMIT
-        epoch = np.int64(np.rint(inv))
-        rmod = rnd % epoch
-        t = p / (1.0 - p * rmod)
-        if t > 1.0:
-            t = 1.0
-        if u[i] < t:
-            heads[k] = i
-            k += 1
-            ineligible_until[i] = rnd + epoch
-    return heads[:k]
-
-
-def _assign_loop(x, y, alive, ch_ids):
-    n = x.shape[0]
-    codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
-    if ch_ids.size == 0:
-        for i in range(n):
-            if alive[i]:
-                codes[i] = ASSIGN_DIRECT_BS
-        return codes
-    for j in range(ch_ids.size):
-        codes[ch_ids[j]] = ASSIGN_CH
-    for i in range(n):
-        if not alive[i] or codes[i] == ASSIGN_CH:
-            continue
-        best = -1
-        best_d2 = np.inf
-        for j in range(ch_ids.size):
-            c = ch_ids[j]
-            dx = x[i] - x[c]
-            dy = y[i] - y[c]
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_d2 = d2
-                best = c
-        codes[i] = best
-    return codes
-
-
-def _steady_loop(x, y, tx_bs, residual, alive, codes,
-                 bits, e_elec, eps_fs, eps_mp, e_da, d0):
-    n = x.shape[0]
-    charge = np.zeros(n, dtype=np.float64)
-    overdraft = np.zeros(n, dtype=np.float64)
-    member_count = np.zeros(n, dtype=np.int64)
-    electronics = bits * e_elec
-    packets_to_ch = 0
-    packets_to_bs = 0
-
-    for i in range(n):
-        code = codes[i]
-        if code >= 0:
-            dx = x[i] - x[code]
-            dy = y[i] - y[code]
-            d = math.sqrt(dx * dx + dy * dy)
-            d2 = d * d
-            if d < d0:
-                charge[i] = electronics + bits * eps_fs * d2
-            else:
-                charge[i] = electronics + bits * eps_mp * (d2 * d2)
-            member_count[code] += 1
-            packets_to_ch += 1
-        elif code == ASSIGN_DIRECT_BS:
-            charge[i] = tx_bs[i]
-            packets_to_bs += 1
-
-    for i in range(n):
-        if codes[i] == ASSIGN_CH:
-            counts = np.float64(member_count[i])
-            charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[i]
-            packets_to_bs += 1
-
-    for i in range(n):
-        if not alive[i]:
-            continue
-        remaining = residual[i] - charge[i]
-        if remaining <= 0.0:
-            overdraft[i] = charge[i] - residual[i]
-            residual[i] = 0.0
-            alive[i] = False
-        else:
-            residual[i] = remaining
-
-    return charge, overdraft, packets_to_bs, packets_to_ch
-
-
-if HAVE_NUMBA:
-    _jit = numba.njit(cache=True, nogil=True)
-    _elect_numba = _jit(_elect_loop)
-    _assign_numba = _jit(_assign_loop)
-    _steady_numba = _jit(_steady_loop)
+    return charge, overdraft, packets_to_bs, packets_to_ch, ch
 
 
 @dataclass(frozen=True)
 class Backend:
+    """The three round kernels ``Simulation`` calls, under a reported name."""
+
     name: str
     elect: Callable
     assign: Callable
@@ -381,24 +248,8 @@ class Backend:
 
 
 _NUMPY_BACKEND = Backend("numpy", _elect_numpy, _assign_numpy, _steady_numpy)
-if HAVE_NUMBA:
-    _NUMBA_BACKEND = Backend("numba", _elect_numba, _assign_numba, _steady_numba)
 
 
-def get_backend(name: str | None = None) -> Backend:
-    """Resolve a kernel backend by name, the environment, or availability."""
-    if name is None:
-        name = os.environ.get(ENV_VAR, "").strip().lower() or None
-    if name is None:
-        return _NUMBA_BACKEND if HAVE_NUMBA else _NUMPY_BACKEND
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown backend {name!r}; expected 'numba' or 'numpy'")
-
-
-if not HAVE_NUMBA and os.environ.get(ENV_VAR, "").strip().lower() not in ("", "numpy"):
-    warnings.warn("numba unavailable; falling back to the numpy backend", RuntimeWarning)
+def get_backend() -> Backend:
+    """The round kernels every ``Simulation`` uses unless given others."""
+    return _NUMPY_BACKEND

@@ -162,6 +162,15 @@ def _parse_protocols(raw: str, label: str) -> tuple[Protocol, ...]:
     return protocols
 
 
+def _parse_emit(raw: str, label: str) -> tuple[str, ...]:
+    """Parse a comma-separated artifact list; ``label`` prefixes errors."""
+    emit = tuple(tok.strip().lower() for tok in raw.split(",") if tok.strip())
+    unknown = set(emit) - set(EMIT_CHOICES)
+    if unknown:
+        raise SpecError(f"{label}: unknown kind(s) {', '.join(sorted(unknown))}")
+    return emit
+
+
 def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
     """Parse and validate an experiment spec file.
 
@@ -269,12 +278,7 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
 
     output_dir = Path(_get(parser, "experiment", "output_dir", str, "results", where))
     raw_emit = _get(parser, "experiment", "emit", str, "csv,svg,summary", where)
-    emit = tuple(tok.strip().lower() for tok in raw_emit.split(",") if tok.strip())
-    unknown_emit = set(emit) - set(EMIT_CHOICES)
-    if unknown_emit:
-        raise SpecError(
-            f"{where}: [experiment] emit: unknown kind(s) {', '.join(sorted(unknown_emit))}"
-        )
+    emit = _parse_emit(raw_emit, f"{where}: [experiment] emit")
     jobs = _get(parser, "experiment", "jobs", int, 1, where)
     if jobs < 1:
         raise SpecError(f"{where}: [experiment] jobs must be at least 1")
@@ -461,11 +465,7 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
     if args.protocols is not None:
         spec = replace(spec, protocols=_parse_protocols(args.protocols, "--protocols"))
     if args.emit is not None:
-        emit = tuple(tok.strip().lower() for tok in args.emit.split(",") if tok.strip())
-        unknown = set(emit) - set(EMIT_CHOICES)
-        if unknown:
-            raise SpecError(f"--emit: unknown kind(s) {', '.join(sorted(unknown))}")
-        spec = replace(spec, emit=emit)
+        spec = replace(spec, emit=_parse_emit(args.emit, "--emit"))
     if args.jobs is not None:
         if args.jobs < 1:
             raise SpecError("--jobs must be at least 1")

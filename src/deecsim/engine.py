@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, Backend, _transmit, get_backend
+from ._kernels import ASSIGN_DIRECT_BS, Backend, _transmit, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, NodeState, RadioParams
 from .protocols import (
@@ -82,12 +82,13 @@ class Simulation:
     """Single deterministic run over flat per-node arrays.
 
     ``step()`` advances one round (elect, form clusters, transfer data);
-    the three phases are also callable individually.
+    the three phases are also callable individually.  ``backend`` swaps in
+    other round kernels with the same contract as ``get_backend()``'s.
     """
 
-    def __init__(self, config: NetworkConfig, backend: str | Backend | None = None):
+    def __init__(self, config: NetworkConfig, backend: Backend | None = None):
         self.config = config
-        self.kernels = backend if isinstance(backend, Backend) else get_backend(backend)
+        self.kernels = get_backend() if backend is None else backend
         self.rng = np.random.default_rng(config.seed)
 
         n = config.n
@@ -183,7 +184,7 @@ class Simulation:
     def steady_state(self, assignment_codes: np.ndarray) -> RoundOutcome:
         """Charge the round's transfers, apply deaths, and advance the round."""
         radio = self.config.radio
-        charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
+        charge, overdraft, packets_to_bs, packets_to_ch, ch_ids = self.kernels.steady(
             self.x,
             self.y,
             self.tx_bs,
@@ -199,7 +200,7 @@ class Simulation:
         )
         outcome = RoundOutcome(
             round=self.round,
-            ch_ids=(assignment_codes == ASSIGN_CH).nonzero()[0],
+            ch_ids=ch_ids,
             assignment_codes=assignment_codes,
             packets_to_bs=int(packets_to_bs),
             packets_to_ch=int(packets_to_ch),
@@ -217,7 +218,7 @@ class Simulation:
         return self.steady_state(codes)
 
 
-def run(config: NetworkConfig, backend: str | Backend | None = None) -> SimResult:
+def run(config: NetworkConfig, backend: Backend | None = None) -> SimResult:
     """Simulate until every node is dead or the round cap is reached."""
     sim = Simulation(config, backend)
     alive = []

@@ -1,4 +1,5 @@
 import pytest
+from _loop_kernels import LOOP_KERNELS
 
 from deecsim import (
     RADIO_PROFILES,
@@ -7,6 +8,7 @@ from deecsim import (
     NetworkConfig,
     Protocol,
     ProtocolConfig,
+    get_backend,
 )
 
 
@@ -39,10 +41,8 @@ def config_sec3(het_sec3, geometry_100):
     return make
 
 
-@pytest.fixture(params=["numpy", "numba"])
-def backend(request):
-    """Run kernel-facing tests on both backend flavors; the numba cases skip
-    when the optional ``numba`` extra is not installed."""
-    if request.param == "numba":
-        pytest.importorskip("numba")
+@pytest.fixture(params=[get_backend(), LOOP_KERNELS], ids=lambda kernels: kernels.name)
+def kernels(request):
+    """Run each hand-worked kernel case on the default kernels and on the
+    loop reference, so the oracle of the parity tests is pinned as well."""
     return request.param

@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from _golden import GOLDEN, digest
 
 from deecsim import (
     NodeClass,
@@ -119,6 +120,11 @@ def test_criterion_2_lifetime_margins(batch, spec):
         f"(published magnitudes 5536-8638: only leach-standard within 50%)"
     )
     report(2, "lifetime margins and reproduction profile", close and margins and profile_ok, detail)
+
+
+def test_batch_matches_golden_digests(batch):
+    results, _ = batch
+    assert {p: digest(runs) for p, runs in results.items()} == GOLDEN["paper-sec3"]
 
 
 def test_criterion_3_packet_dominance(batch):

@@ -254,6 +254,18 @@ class TestMain:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["series_deec.csv", "series_eddeec.csv"]
 
+    @pytest.mark.parametrize("spec_emit, flags", [
+        ("csv,bogus", []),
+        ("csv,svg,summary", ["--emit", "csv,bogus"]),
+    ], ids=["spec", "flag"])
+    def test_unknown_emit_kind(self, tmp_path, capsys, spec_emit, flags):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out)
+        path.write_text(path.read_text().replace("emit = csv,svg,summary", f"emit = {spec_emit}"))
+        assert main(["run", str(path), *flags]) == EXIT_VALIDATION
+        assert "emit: unknown kind(s) bogus" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_count_override_prefix(self, tmp_path):
         out2, out3 = tmp_path / "r2", tmp_path / "r3"
         path = write_tiny_spec(tmp_path, out2)

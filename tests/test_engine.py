@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _golden import GOLDEN, digest, fast_runs
+from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop
 
 from deecsim import _kernels
 from deecsim import (
@@ -28,7 +30,6 @@ from deecsim import (
     summarize,
     tx_energy,
 )
-from deecsim._kernels import Backend
 from deecsim.metrics import SimResult
 from deecsim.protocols import _EPOCH_LIMIT, P_MAX
 
@@ -106,13 +107,13 @@ class TestInitialize:
 
 
 class TestElection:
-    def test_all_dead_elects_nobody(self, config_sec3, backend):
-        sim = Simulation(config_sec3(), backend=backend)
+    def test_all_dead_elects_nobody(self, config_sec3, kernels):
+        sim = Simulation(config_sec3(), backend=kernels)
         sim.alive[:] = False
         sim.residual[:] = 0.0
         assert sim.elect_cluster_heads().size == 0
 
-    def test_saturated_threshold_forces_election(self, backend):
+    def test_saturated_threshold_forces_election(self, kernels):
         # single node, classes collapsed: p = 0.5 exactly, and at an odd
         # round the threshold is 0.5/(1-0.5) = 1, so the draw always wins
         config = NetworkConfig(
@@ -124,41 +125,41 @@ class TestElection:
             seed=3,
             max_rounds=10,
         )
-        sim = Simulation(config, backend=backend)
+        sim = Simulation(config, backend=kernels)
         sim.round = 1
         assert sim.elect_cluster_heads().tolist() == [0]
 
-    def test_golden_first_round(self, config_sec3, backend):
+    def test_golden_first_round(self, config_sec3, kernels):
         golden = json.loads((DATA / "golden_ch_round0.json").read_text())
-        sim = Simulation(config_sec3(seed=golden["seed"], c=0.1), backend=backend)
+        sim = Simulation(config_sec3(seed=golden["seed"], c=0.1), backend=kernels)
         assert sim.elect_cluster_heads().tolist() == golden["ch_ids"]
 
-    def test_elected_nodes_become_ineligible(self, config_sec3, backend):
-        sim = Simulation(config_sec3(), backend=backend)
+    def test_elected_nodes_become_ineligible(self, config_sec3, kernels):
+        sim = Simulation(config_sec3(), backend=kernels)
         ch = sim.elect_cluster_heads()
         assert ch.size > 0
         assert (sim.ineligible_until[ch] > 0).all()
 
 
 class TestFormClusters:
-    def test_single_head_takes_all(self, config_sec3, backend):
-        sim = Simulation(config_sec3(), backend=backend)
+    def test_single_head_takes_all(self, config_sec3, kernels):
+        sim = Simulation(config_sec3(), backend=kernels)
         codes = sim.form_clusters(np.array([7], dtype=np.int64))
         assert codes[7] == ASSIGN_CH
         members = np.flatnonzero(codes >= 0)
         assert len(members) == 99
         assert (codes[members] == 7).all()
 
-    def test_tie_breaks_to_lower_id(self, backend):
-        sim = Simulation(tiny_config(n=4, e0=0.5), backend=backend)
+    def test_tie_breaks_to_lower_id(self, kernels):
+        sim = Simulation(tiny_config(n=4, e0=0.5), backend=kernels)
         sim.x[:] = [0.0, 10.0, 10.0, 5.0]
         sim.y[:] = [0.0, 0.0, 10.0, 20.0]
         # node 0 is equidistant (10 m) from heads 1 and 2
         codes = sim.form_clusters(np.array([1, 2], dtype=np.int64))
         assert codes[0] == 1
 
-    def test_no_heads_means_direct(self, config_sec3, backend):
-        sim = Simulation(config_sec3(), backend=backend)
+    def test_no_heads_means_direct(self, config_sec3, kernels):
+        sim = Simulation(config_sec3(), backend=kernels)
         sim.alive[3] = False
         codes = sim.form_clusters(np.array([], dtype=np.int64))
         assert codes[3] == ASSIGN_NONE
@@ -186,8 +187,8 @@ def _pairs(alive, ch_ids):
 
 
 def _assert_matches_brute_force(x, y, alive, ch_ids):
-    # the un-jitted loop flavor visits every head in id order: the reference
-    expected = _kernels._assign_loop(x, y, alive, ch_ids)
+    # the loop reference visits every head in id order
+    expected = _assign_loop(x, y, alive, ch_ids)
     assert np.array_equal(_kernels._assign_numpy(x, y, alive, ch_ids), expected)
 
 
@@ -293,7 +294,7 @@ class TestAssignExactness:
             n=5000, geometry=geometry_100, radio=LEACH, het=het_sec3,
             protocol=ProtocolConfig(kind=Protocol.EDDEEC, c=0.1), seed=42, max_rounds=12,
         )
-        sim = Simulation(config, backend="numpy")
+        sim = Simulation(config)
         for _ in range(12):
             ch_ids = sim.elect_cluster_heads()
             spy = mock.patch.object(_kernels, "_nearest_dense", wraps=_kernels._nearest_dense)
@@ -360,7 +361,7 @@ class TestElectionKernels:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no division by a zero probability
             heads, ineligible = _elect(_kernels._elect_numpy, case)
-        expected_heads, expected_ineligible = _elect(_kernels._elect_loop, case)
+        expected_heads, expected_ineligible = _elect(_elect_loop, case)
         assert heads.dtype == np.int64
         assert np.array_equal(heads, expected_heads)
         assert np.array_equal(ineligible, expected_ineligible)
@@ -379,13 +380,8 @@ class TestElectionKernels:
         assert ineligible.tolist() == [8, 7 + int(_EPOCH_LIMIT)]
 
 
-# the loop flavor without numba: the same kernels, run as plain Python
-LOOP_BACKEND = Backend("loop", _kernels._elect_loop, _kernels._assign_loop,
-                       _kernels._steady_loop)
-
-
 class TestLoopFlavorParity:
-    """The un-jitted loop kernels reproduce the numpy flavor run for run."""
+    """The loop reference kernels reproduce the default kernels run for run."""
 
     @pytest.mark.parametrize("kind, extra", [
         (Protocol.DEEC, {}),
@@ -397,8 +393,8 @@ class TestLoopFlavorParity:
         # nodes and rounds without heads all occur before the cap
         config = config_sec3(kind=kind, seed=1, max_rounds=150, radio="table1-verbatim",
                              **extra)
-        a = run(config, backend="numpy")
-        b = run(config, backend=LOOP_BACKEND)
+        a = run(config)
+        b = run(config, backend=LOOP_KERNELS)
         for field in dataclasses.fields(SimResult):
             assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
         assert a.alive[-1] < config.n // 10
@@ -435,8 +431,8 @@ class TestSteadyState:
                 )
         return charges
 
-    def test_lone_head_without_members(self, backend):
-        sim = Simulation(tiny_config(n=3, e0=0.5), backend=backend)
+    def test_lone_head_without_members(self, kernels):
+        sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
         sim.alive[:] = [True, False, False]
         codes = sim.form_clusters(np.array([0], dtype=np.int64))
         before = sim.residual.copy()
@@ -447,8 +443,8 @@ class TestSteadyState:
         expected = aggregation_energy(4000, 1, radio) + tx_energy(4000, d, radio)
         assert before[0] - sim.residual[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_head_with_two_members(self, backend):
-        sim = Simulation(tiny_config(n=3, e0=0.5), backend=backend)
+    def test_head_with_two_members(self, kernels):
+        sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
         codes = sim.form_clusters(np.array([1], dtype=np.int64))
         before = sim.residual.copy()
         out = sim.steady_state(codes)
@@ -462,10 +458,10 @@ class TestSteadyState:
         )
         assert before[1] - sim.residual[1] == pytest.approx(expected, rel=1e-12)
 
-    def test_ledger_closes_every_round(self, config_sec3, backend):
+    def test_ledger_closes_every_round(self, config_sec3, kernels):
         # independent oracle: recompute all charges through the scalar model
         # and compare with the residual decrease plus recorded overdraft
-        sim = Simulation(config_sec3(seed=5, c=0.1), backend=backend)
+        sim = Simulation(config_sec3(seed=5, c=0.1), backend=kernels)
         for _ in range(400):
             if sim.alive_count() == 0:
                 break
@@ -551,23 +547,21 @@ class TestRun:
         assert not np.array_equal(estimated.residual_j, true_mode.residual_j)
 
 
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("kind", [Protocol.DEEC, Protocol.EDDEEC])
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_bit_identical_runs(self, config_sec3, kind, seed):
-        pytest.importorskip("numba")
-        a = run(config_sec3(kind=kind, seed=seed, c=0.1), backend="numpy")
-        b = run(config_sec3(kind=kind, seed=seed, c=0.1), backend="numba")
-        for field in ("alive", "packets_bs", "packets_ch", "residual_j", "ch_count",
-                      "charged_j", "overdraft_j"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+class TestGoldenDigests:
+    """Every field of every run matches its digest in ``data/golden.json``."""
 
-    def test_env_variable_selects_backend(self, monkeypatch):
-        from deecsim import get_backend
+    def test_every_recorded_run_is_checked(self):
+        assert set(fast_runs()) == set(GOLDEN["runs"])
 
-        monkeypatch.setenv("DEECSIM_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-        monkeypatch.delenv("DEECSIM_BACKEND")
-        assert get_backend().name in ("numba", "numpy")
-        with pytest.raises(ValueError):
-            get_backend("fortran")
+    @pytest.mark.parametrize("name", list(GOLDEN["runs"]))
+    def test_run(self, name):
+        config = fast_runs()[name]
+        spy = mock.patch.object(_kernels, "_nearest_tiled", wraps=_kernels._nearest_tiled)
+        with spy as tiled:
+            result = run(config)
+        assert digest([result]) == GOLDEN["runs"][name]
+        # the n = 2000 run is in the set for the tiled search; the rest die uncapped
+        if config.n > 100:
+            assert tiled.called
+        else:
+            assert result.alive[-1] == 0 and result.rounds < config.max_rounds
