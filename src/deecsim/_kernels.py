@@ -34,15 +34,20 @@ def _elect_numpy(residual, alive, ineligible_until, u, rnd,
     ``p > 0`` draw.  Elected nodes leave the eligible set for
     ``round(1/p)`` rounds.
     """
-    e = residual
+    cand = (alive & (ineligible_until <= rnd)).nonzero()[0]
+    e = residual[cand]
+    pw = pw[cand]
     if t_low >= 0.0:
         pw = np.where(e <= t_low, pw_low, pw)
-    p = np.minimum(pw * e / denom, p_max)
-    cand = (alive & (ineligible_until <= rnd) & (p > 0.0)).nonzero()[0]
-    p = p[cand]
+    p = pw * e
+    p /= denom
+    np.minimum(p, p_max, out=p)
+    if np.count_nonzero(p) < p.size:
+        drawn = p > 0.0
+        cand, p = cand[drawn], p[drawn]
     epoch = np.rint(np.minimum(1.0 / p, _EPOCH_LIMIT)).astype(np.int64)
-    t = np.minimum(p / (1.0 - p * (rnd % epoch)), 1.0)
-    won = u[cand] < t
+    # u < 1, so u < t decides as u < min(t, 1) would
+    won = u[cand] < p / (1.0 - p * (rnd % epoch))
     heads = cand[won]
     ineligible_until[heads] = rnd + epoch[won]
     return heads
@@ -64,10 +69,12 @@ def _nearest_dense(mx, my, hx, hy, ids):
     ``argmin`` keeps the first head in ``ids`` order on ties, which is the
     lowest id because callers pass heads in ascending id order.
     """
-    dx = mx[:, None] - hx[None, :]
-    dy = my[:, None] - hy[None, :]
-    d2 = dx * dx + dy * dy
-    return ids[np.argmin(d2, axis=1)]
+    d2 = np.subtract.outer(mx, hx)
+    d2 *= d2
+    dy2 = np.subtract.outer(my, hy)
+    dy2 *= dy2
+    d2 += dy2
+    return ids[d2.argmin(axis=1)]
 
 
 # Members x heads work below which one dense block beats the tiled search
@@ -86,6 +93,16 @@ def _tile_edges(lo, hi, t, side):
     edges = lo + side * np.arange(t + 1)
     edges[-1] = max(edges[-1], hi)
     return edges
+
+
+def _tile_order(tile, tiles):
+    """``np.argsort(tile, kind="stable")`` for integer keys in ``[0, tiles)``.
+
+    The keys are cast to the narrowest unsigned type that holds them, so up to
+    65536 tiles take numpy's radix sort; a stable sort's permutation does not
+    depend on the key type.
+    """
+    return np.argsort(tile.astype(np.min_scalar_type(tiles - 1)), kind="stable")
 
 
 def _nearest_tiled(mx, my, hx, hy, ids):
@@ -121,25 +138,33 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     # a member of tile (i, j) lies in [ex[i], ex[i+1]] x [ey[j], ey[j+1]]
     tile = (np.searchsorted(ey[1:-1], my, side="right") * t
             + np.searchsorted(ex[1:-1], mx, side="right"))
-    order = np.argsort(tile, kind="stable")
-    bounds = np.searchsorted(tile[order], np.arange(t * t + 1)).tolist()
+    order = _tile_order(tile, t * t)
+    ends = np.bincount(tile, minlength=t * t).cumsum().tolist()
     near_col = (hx >= ex[:-1, None] - margin) & (hx <= ex[1:, None] + margin)
     near_row = (hy >= ey[:-1, None] - margin) & (hy <= ey[1:, None] + margin)
+    # row j * t + i: the heads near tile (i, j), as ascending indices into ids;
+    # (t * t) x heads booleans, about heads**2 / 8 bytes
+    near = (near_row[:, None, :] & near_col[None, :, :]).reshape(t * t, -1)
+    near_ends = np.count_nonzero(near, axis=1).cumsum().tolist()
+    near = near.nonzero()[1]
+    near_x, near_y = hx[near], hy[near]
 
     sx, sy = mx[order], my[order]
     pos = np.full(order.size, -1)  # nearest head near the tile, as an index into ids
-    for k in range(t * t):
-        b0, b1 = bounds[k], bounds[k + 1]
-        if b0 == b1:
-            continue
-        near = np.flatnonzero(near_row[k // t] & near_col[k % t])
-        if near.size:
-            pos[b0:b1] = _nearest_dense(sx[b0:b1], sy[b0:b1], hx[near], hy[near], near)
+    b0 = h0 = 0
+    for b1, h1 in zip(ends, near_ends):
+        if b0 < b1 and h0 < h1:
+            pos[b0:b1] = _nearest_dense(sx[b0:b1], sy[b0:b1],
+                                        near_x[h0:h1], near_y[h0:h1], near[h0:h1])
+        b0, h0 = b1, h1
 
     # pos = -1 reads the last head, which is outside the grown box, so it fails
-    dx = sx - hx[pos]
-    dy = sy - hy[pos]
-    rest = np.flatnonzero(~(dx * dx + dy * dy < accept))
+    d2 = sx - hx[pos]
+    d2 *= d2
+    dy2 = sy - hy[pos]
+    dy2 *= dy2
+    d2 += dy2
+    rest = (~(d2 < accept)).nonzero()[0]
     nearest = ids[pos]
     if rest.size:
         nearest[rest] = _nearest_dense(sx[rest], sy[rest], hx, hy, ids)
@@ -166,9 +191,9 @@ def _assign_numpy(x, y, alive, ch_ids):
     15k and 60k pairs the faster path changes from round to round, and the
     tiled path wins on most rounds above 60k.  On the same host, at
     n = 5000 (about 300 heads, 1.4M pairs a round) assignment takes about
-    3 ms a round instead of 30 ms, and the three members x heads
-    temporaries of up to 14 MB each give way to per-tile blocks of a few
-    tens of kB; at n = 20000 (about 1400 heads) it takes about 15 ms.
+    2 ms a round instead of 30 ms, and the dense block's two members x
+    heads buffers of up to 14 MB each give way to per-tile blocks of a few
+    tens of kB; at n = 20000 (about 1400 heads) it takes about 8 ms.
     """
     n = x.shape[0]
     codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
@@ -203,37 +228,34 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
     and overdraft, the packet counts, and the head ids in ascending order.
     """
     n = x.shape[0]
-    charge = np.zeros(n, dtype=np.float64)
-
-    mi = (codes >= 0).nonzero()[0]
-    if mi.size:
-        head = codes[mi]
-        dx = x[mi] - x[head]
-        dy = y[mi] - y[head]
-        charge[mi] = _transmit(np.sqrt(dx * dx + dy * dy), bits, e_elec, eps_fs, eps_mp, d0)
-
-    di = (codes == ASSIGN_DIRECT_BS).nonzero()[0]
-    if di.size:
-        charge[di] = tx_bs[di]
-
+    direct = codes == ASSIGN_DIRECT_BS
+    charge = np.where(direct, tx_bs, 0.0)
+    packets_to_bs = np.count_nonzero(direct)
+    packets_to_ch = 0
     ch = (codes == ASSIGN_CH).nonzero()[0]
-    if ch.size:
-        counts = np.bincount(head, minlength=n)[ch].astype(np.float64) if mi.size \
-            else np.zeros(ch.size, dtype=np.float64)
+    if ch.size:  # members point at heads, so without heads there are none
+        mi = (codes >= 0).nonzero()[0]
+        head = codes[mi]
+        d = x[mi] - x[head]
+        d *= d
+        dy2 = y[mi] - y[head]
+        dy2 *= dy2
+        d += dy2
+        charge[mi] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
+        counts = np.bincount(head, minlength=n)[ch]
         electronics = bits * e_elec
         charge[ch] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[ch]
+        packets_to_ch = mi.size
+        packets_to_bs += ch.size
 
     remaining = residual - charge
     overdraft = np.zeros(n, dtype=np.float64)
     dying = (alive & (remaining <= 0.0)).nonzero()[0]
     if dying.size:
         overdraft[dying] = charge[dying] - residual[dying]
-        remaining[dying] = np.maximum(remaining[dying], 0.0)
+        remaining[dying] = 0.0
     np.copyto(residual, remaining, where=alive)
     alive[dying] = False
-
-    packets_to_ch = int(mi.size)
-    packets_to_bs = int(ch.size + di.size)
     return charge, overdraft, packets_to_bs, packets_to_ch, ch
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -357,6 +356,10 @@ def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     """
     pairs = [(protocol, seed) for protocol in spec.protocols for seed in spec.seeds]
     if spec.jobs > 1:
+        # imported here: concurrent.futures and the logging it pulls in add
+        # several ms to every serial run's start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
             results = list(
                 pool.map(lambda ps: run(spec.network_config(ps[0], ps[1])), pairs)

@@ -118,6 +118,10 @@ class Simulation:
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
             n, config.geometry, config.radio, config.het
         )
+        # the estimate's per-run terms; average_energy applies its expression
+        self._estimated = config.protocol.avg_energy_mode == "estimated"
+        self._energy_per_node = self.estimate.e_total / self.estimate.n
+        self._r_lifetime = self.estimate.r_lifetime
 
         # Run constants: the kernels see only what changes from round to round.
         p_opt = config.protocol.p_opt
@@ -129,10 +133,11 @@ class Simulation:
         self._pw_low = p_opt * w_low
         self._energy_factor = config.het.total_energy_factor
         radio = config.radio
+        bits = float(radio.message_bits)
         self.tx_bs = _transmit(
-            self.dist_to_bs, float(radio.message_bits), radio.e_elec, radio.eps_fs,
-            radio.eps_mp, radio.d0,
+            self.dist_to_bs, bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0
         )
+        self._radio_args = (bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.e_da, radio.d0)
         self.round = 0
 
     def alive_count(self) -> int:
@@ -152,8 +157,10 @@ class Simulation:
 
     def average_energy(self) -> float:
         """Average-energy reference for the current round, per config mode."""
-        if self.config.protocol.avg_energy_mode == "estimated":
-            return self.estimate.avg_energy_at(self.round)
+        if self._estimated:
+            # estimate_average_energy's expression and floor
+            return max(self._energy_per_node * (1.0 - self.round / self._r_lifetime),
+                       AVG_ENERGY_FLOOR_J)
         count = self.alive_count()
         if count == 0:
             return AVG_ENERGY_FLOOR_J
@@ -183,31 +190,23 @@ class Simulation:
 
     def steady_state(self, assignment_codes: np.ndarray) -> RoundOutcome:
         """Charge the round's transfers, apply deaths, and advance the round."""
-        radio = self.config.radio
+        alive_before = self.alive_count()
         charge, overdraft, packets_to_bs, packets_to_ch, ch_ids = self.kernels.steady(
-            self.x,
-            self.y,
-            self.tx_bs,
-            self.residual,
-            self.alive,
-            assignment_codes,
-            float(radio.message_bits),
-            radio.e_elec,
-            radio.eps_fs,
-            radio.eps_mp,
-            radio.e_da,
-            radio.d0,
+            self.x, self.y, self.tx_bs, self.residual, self.alive, assignment_codes,
+            *self._radio_args,
         )
+        alive_after = self.alive_count()
         outcome = RoundOutcome(
             round=self.round,
             ch_ids=ch_ids,
             assignment_codes=assignment_codes,
             packets_to_bs=int(packets_to_bs),
             packets_to_ch=int(packets_to_ch),
-            alive_after=self.alive_count(),
+            alive_after=alive_after,
             total_residual_after=float(self.residual.sum()),
             charged_j=float(charge.sum()),
-            overdraft_j=float(overdraft.sum()),
+            # only nodes that die this round overdraw
+            overdraft_j=float(overdraft.sum()) if alive_after < alive_before else 0.0,
         )
         self.round += 1
         return outcome

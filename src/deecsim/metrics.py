@@ -156,17 +156,24 @@ def emit_series_csv(results: list[SimResult], destination) -> None:
     labels = {r.protocol for r in results}
     if len(labels) > 1:
         raise ValueError(f"results span several protocols: {sorted(labels)}")
+    lines = [CSV_HEADER]
+    for result in sorted(results, key=lambda r: r.seed):
+        prefix = f"{result.protocol},{result.seed},"
+        columns = zip(
+            range(result.rounds),
+            result.alive.tolist(),
+            result.packets_bs.tolist(),
+            result.packets_ch.tolist(),
+            result.residual_j.tolist(),
+            result.ch_count.tolist(),
+        )
+        lines.extend(
+            f"{prefix}{rnd},{alive},{bs},{to_ch},{residual:.9g},{heads}"
+            for rnd, alive, bs, to_ch, residual, heads in columns
+        )
+    lines.append("")
     with open(destination, "w", encoding="ascii", newline="") as f:
-        f.write(CSV_HEADER + "\n")
-        for result in sorted(results, key=lambda r: r.seed):
-            protocol = result.protocol
-            seed = result.seed
-            for rnd in range(result.rounds):
-                f.write(
-                    f"{protocol},{seed},{rnd},{result.alive[rnd]},"
-                    f"{result.packets_bs[rnd]},{result.packets_ch[rnd]},"
-                    f"{result.residual_j[rnd]:.9g},{result.ch_count[rnd]}\n"
-                )
+        f.write("\n".join(lines))
 
 
 def seed_mean_series(results: list[SimResult], kind: str) -> np.ndarray:
@@ -232,10 +239,10 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     plot_w = width - left - right
     plot_h = height - top - bottom
 
-    def sx(x: float) -> float:
+    def sx(x):
         return left + plot_w * (x / x_max) if x_max else left
 
-    def sy(y: float) -> float:
+    def sy(y):
         return top + plot_h * (1.0 - y / y_max)
 
     y_label = "alive nodes" if kind == "alive_vs_round" else "packets to BS (cumulative)"
@@ -304,9 +311,9 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     for idx, protocol in enumerate(ordered):
         color = _PALETTE.get(protocol) or next(fallback)
         values = series[protocol]
-        points = " ".join(
-            f"{sx(float(i)):.2f},{sy(float(v)):.2f}" for i, v in enumerate(values)
-        )
+        px = sx(np.arange(values.size, dtype=np.float64)).tolist()
+        py = sy(values).tolist()
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _golden import GOLDEN, digest, fast_runs
-from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop
+from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop, _steady_loop
 
 from deecsim import _kernels
 from deecsim import (
@@ -133,6 +134,14 @@ class TestElection:
         golden = json.loads((DATA / "golden_ch_round0.json").read_text())
         sim = Simulation(config_sec3(seed=golden["seed"], c=0.1), backend=kernels)
         assert sim.elect_cluster_heads().tolist() == golden["ch_ids"]
+
+    def test_estimated_average_is_the_estimate(self, config_sec3):
+        sim = Simulation(config_sec3())
+        lifetime = int(sim.estimate.r_lifetime)
+        # the linear estimate, then its floor past the estimated lifetime
+        for r in (0, 1, 777, lifetime, lifetime + 1, 10**6):
+            sim.round = r
+            assert sim.average_energy() == sim.estimate.avg_energy_at(r)
 
     def test_elected_nodes_become_ineligible(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
@@ -378,6 +387,96 @@ class TestElectionKernels:
         heads, ineligible = _elect(_kernels._elect_numpy, case)
         assert heads.tolist() == [0, 1]
         assert ineligible.tolist() == [8, 7 + int(_EPOCH_LIMIT)]
+
+
+class TestTileKeys:
+    """Tile keys sort in the narrowest unsigned type that holds them."""
+
+    # one head per tile below: t*t = 225, 225, 256, 256, 289 tiles, so the
+    # largest key crosses 255, where the key type widens from uint8 to uint16
+    @pytest.mark.parametrize("heads", [225, 255, 256, 288, 289])
+    def test_tiled_equals_dense_across_uint8(self, heads):
+        x, y, alive, ch_ids = _random_layout(heads, 600, heads)
+        member = alive.copy()
+        member[ch_ids] = False
+        mi = np.flatnonzero(member)
+        args = (x[mi], y[mi], x[ch_ids], y[ch_ids], ch_ids)
+        spy = mock.patch.object(_kernels, "_tile_order", wraps=_kernels._tile_order)
+        with mock.patch.object(_kernels, "_HEADS_PER_TILE", 1), spy as order:
+            tiled = _kernels._nearest_tiled(*args)
+        assert order.call_args.args[1] == math.isqrt(heads) ** 2
+        assert np.array_equal(tiled, _kernels._nearest_dense(*args))
+
+    @pytest.mark.parametrize("tiles", [2, 256, 257, 65536, 65537, 2**32, 2**32 + 1])
+    def test_order_is_the_stable_int64_order(self, tiles):
+        # keys from the whole range, many repeated, and both ends of it; only
+        # the key array is built, never a layout with this many tiles
+        rng = np.random.default_rng(tiles)
+        tile = rng.integers(0, tiles, 300)
+        tile[rng.integers(0, 300, 40)] = tiles - 1
+        tile[rng.integers(0, 300, 40)] = 0
+        assert np.array_equal(_kernels._tile_order(tile, tiles),
+                              np.argsort(tile, kind="stable"))
+
+
+@st.composite
+def steady_cases(draw):
+    """Inputs of one steady-state round: members of random alive heads, lone
+    heads, direct nodes and dead nodes, with each alive node's residual set
+    below, at, just above or well above its charge, so that deaths,
+    overdraft and exactly-zero remainders occur."""
+    n = draw(st.integers(1, 40))
+    roles = draw(st.lists(st.sampled_from(["head", "member", "direct", "dead"]),
+                          min_size=n, max_size=n))
+    heads = [i for i, role in enumerate(roles) if role == "head"]
+    codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
+    for i, role in enumerate(roles):
+        if role == "head":
+            codes[i] = ASSIGN_CH
+        elif role == "member" and heads:
+            codes[i] = draw(st.sampled_from(heads))
+        elif role != "dead":
+            codes[i] = ASSIGN_DIRECT_BS
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a 200 m field puts member links and BS links on both sides of d0 = 70 m
+    x = rng.random(n) * 200.0
+    y = rng.random(n) * 200.0
+    bits = float(LEACH.message_bits)
+    tx_bs = _kernels._transmit(np.hypot(x - 100.0, y - 100.0), bits, LEACH.e_elec,
+                               LEACH.eps_fs, LEACH.eps_mp, LEACH.d0)
+    case = {
+        "x": x, "y": y, "tx_bs": tx_bs,
+        "residual": np.zeros(n), "alive": codes != ASSIGN_NONE, "codes": codes,
+        "bits": bits, "e_elec": LEACH.e_elec, "eps_fs": LEACH.eps_fs,
+        "eps_mp": LEACH.eps_mp, "e_da": LEACH.e_da, "d0": LEACH.d0,
+    }
+    (charge, *_), _, _ = _steady(_steady_loop, case)
+    scale = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0]),
+                                   min_size=n, max_size=n)))
+    case["residual"] = np.where(case["alive"], charge * scale, 0.0)
+    return case
+
+
+def _steady(kernel, case):
+    case = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in case.items()}
+    returned = kernel(**case)
+    return returned, case["residual"], case["alive"]
+
+
+class TestSteadyKernels:
+    @given(case=steady_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_equals_loop(self, case):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            returned, residual, alive = _steady(_kernels._steady_numpy, case)
+        expected, expected_residual, expected_alive = _steady(_steady_loop, case)
+        assert len(returned) == len(expected) == 5
+        for got, want in zip(returned, expected):
+            assert np.array_equal(got, want)
+        assert returned[4].dtype == np.int64
+        assert np.array_equal(residual, expected_residual)
+        assert np.array_equal(alive, expected_alive)
 
 
 class TestLoopFlavorParity:

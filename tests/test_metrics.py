@@ -131,6 +131,23 @@ class TestCsv:
             assert len(digits) <= 9
             assert "," not in residual
 
+    def test_exact_rows(self, tmp_path):
+        # int64 counts print as integers; the residual carries %.9g, so
+        # 0.1 + 0.2 = 0.30000000000000004 prints as 0.3
+        result = fake_result([5, 4, 1, 0], n=5, seed=7)
+        result.packets_bs = np.array([5, 9, 10, 2**40], dtype=np.int64)
+        result.residual_j = np.array([0.0, 1e-10, 0.1 + 0.2, 2.0 / 3.0])
+        dest = tmp_path / "series.csv"
+        emit_series_csv([result], dest)
+        assert dest.read_bytes().decode("ascii").split("\n") == [
+            CSV_HEADER,
+            "eddeec,7,0,5,5,10,0,1",
+            "eddeec,7,1,4,9,18,1e-10,1",
+            "eddeec,7,2,1,10,20,0.3,1",
+            "eddeec,7,3,0,1099511627776,22,0.666666667,1",
+            "",
+        ]
+
     def test_roundtrip_summarize(self, tmp_path):
         # parsing the CSV back reproduces the series the summary was built on
         result = run(tiny_config(seed=8, max_rounds=200))
