@@ -16,10 +16,8 @@ from .model import (
     RADIO_PROFILES,
     FieldGeometry,
     NodeClass,
-    NodeState,
     RadioParams,
     aggregation_energy,
-    deduct,
     distance,
     rx_energy,
     tx_energy,
@@ -32,10 +30,7 @@ from .protocols import (
     Protocol,
     ProtocolConfig,
     absolute_threshold,
-    ch_probability,
-    election_threshold,
     energy_per_round,
-    epoch_length,
     estimate_average_energy,
     expected_distances,
     make_energy_estimate,
@@ -56,7 +51,6 @@ __all__ = [
     "LifetimeSummary",
     "NetworkConfig",
     "NodeClass",
-    "NodeState",
     "P_MAX",
     "Protocol",
     "ProtocolConfig",
@@ -67,14 +61,10 @@ __all__ = [
     "Simulation",
     "absolute_threshold",
     "aggregation_energy",
-    "ch_probability",
-    "deduct",
     "distance",
-    "election_threshold",
     "emit_plot_svg",
     "emit_series_csv",
     "energy_per_round",
-    "epoch_length",
     "estimate_average_energy",
     "expected_distances",
     "get_backend",

@@ -1,6 +1,13 @@
 """Per-round simulation kernels: election draws, nearest-head assignment
 and steady-state charging, vectorized with numpy.
 
+This module is the only place the per-node laws are written: the election
+probability with its low-energy rule (:func:`_probability`), the epoch and
+rotating threshold (:func:`_rotation`) and the first-order transmit cost
+(:func:`_transmit`).  The engine runs them through the round kernels, and
+the paper's acceptance gates (C4, C5, C8, C9) test these same functions;
+``protocols.election_constants`` supplies their per-run constants.
+
 A :class:`Backend` bundles the three; :func:`get_backend` returns the only
 set, named ``"numpy"``.  ``Simulation`` accepts another ``Backend`` with the
 same signatures and return values; the test suite passes one-node-at-a-time
@@ -15,39 +22,60 @@ from typing import Callable
 
 import numpy as np
 
-from .protocols import _EPOCH_LIMIT
-
 # Assignment codes (per node, per round).
 ASSIGN_NONE = -3  # dead this round
 ASSIGN_CH = -2  # node is a cluster head
 ASSIGN_DIRECT_BS = -1  # no head elected; node uplinks straight to the BS
+
+# Epoch lengths round(1/p) beyond this have no exact integer form in a
+# float64; the threshold correction term is negligible there (p < 1.2e-16).
+_EPOCH_LIMIT = 2.0**53
+
+
+def _probability(e, pw, denom, t_low, pw_low, p_max):
+    """Election probability ``min(pw * e / denom, p_max)`` of residuals ``e``.
+
+    ``pw`` is each node's ``p_opt * w_class`` and ``pw_low`` the
+    ``p_opt * w_low`` that replaces it at or below ``t_low``; a negative
+    ``t_low`` disables the low-energy rule.  ``denom`` is
+    ``(1 + m*(a + m0*b)) * avg_energy``.  ``e`` and ``pw`` are arrays of one
+    shape (or broadcast to one); the result is a new array.
+    """
+    if t_low >= 0.0:
+        pw = np.where(e <= t_low, pw_low, pw)
+    p = pw * e
+    p /= denom
+    np.minimum(p, p_max, out=p)
+    return p
+
+
+def _rotation(p, rnd):
+    """Epoch lengths and rotating thresholds of probabilities ``p`` (> 0).
+
+    The epoch is ``round(1/p)``, capped at ``_EPOCH_LIMIT``; the threshold
+    at round ``rnd`` is ``p / (1 - p * (rnd mod epoch))``.  It equals ``p``
+    at an epoch's first round and is not clamped to 1.
+    """
+    epoch = np.rint(np.minimum(1.0 / p, _EPOCH_LIMIT)).astype(np.int64)
+    return epoch, p / (1.0 - p * (rnd % epoch))
 
 
 def _elect_numpy(residual, alive, ineligible_until, u, rnd,
                  pw, denom, t_low, pw_low, p_max):
     """Threshold-draw election for one round; returns the elected ids.
 
-    ``pw`` is each node's ``p_opt * w_class`` and ``pw_low`` the
-    ``p_opt * w_low`` that replaces it at or below ``t_low`` (a negative
-    ``t_low`` disables the rule), so ``p = min(pw * e / denom, p_max)``.
     Every node id owns one entry of ``u``; only alive, eligible nodes with
-    ``p > 0`` draw.  Elected nodes leave the eligible set for
-    ``round(1/p)`` rounds.
+    ``_probability(...) > 0`` draw, against ``_rotation``'s threshold.
+    Elected nodes leave the eligible set for one epoch.
     """
     cand = (alive & (ineligible_until <= rnd)).nonzero()[0]
-    e = residual[cand]
-    pw = pw[cand]
-    if t_low >= 0.0:
-        pw = np.where(e <= t_low, pw_low, pw)
-    p = pw * e
-    p /= denom
-    np.minimum(p, p_max, out=p)
+    p = _probability(residual[cand], pw[cand], denom, t_low, pw_low, p_max)
     if np.count_nonzero(p) < p.size:
         drawn = p > 0.0
         cand, p = cand[drawn], p[drawn]
-    epoch = np.rint(np.minimum(1.0 / p, _EPOCH_LIMIT)).astype(np.int64)
+    epoch, t = _rotation(p, rnd)
     # u < 1, so u < t decides as u < min(t, 1) would
-    won = u[cand] < p / (1.0 - p * (rnd % epoch))
+    won = u[cand] < t
     heads = cand[won]
     ineligible_until[heads] = rnd + epoch[won]
     return heads

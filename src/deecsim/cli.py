@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -76,7 +76,6 @@ class ExperimentSpec:
     avg_energy_mode: str
     protocols: tuple[Protocol, ...]
     seeds: tuple[int, ...]
-    base_seed: int | None
     output_dir: Path
     emit: tuple[str, ...]
     jobs: int
@@ -124,14 +123,16 @@ _KNOWN_KEYS = {
 }
 
 
-def _get(parser, section, key, cast, default, where):
-    if not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except (ValueError, TypeError) as exc:
-        raise SpecError(f"{where}: [{section}] {key} = {raw!r}: {exc}") from exc
+# The CLI flags that set spec keys.  A flag's value replaces the key's on
+# the parsed spec before validation, and errors about the key name the flag.
+FLAG_KEYS = {
+    "--output-dir": ("experiment", "output_dir"),
+    "--seed-count": ("experiment", "seed_count"),
+    "--protocols": ("experiment", "protocols"),
+    "--emit": ("experiment", "emit"),
+    "--jobs": ("experiment", "jobs"),
+    "--profile": ("radio", "profile"),
+}
 
 
 def resolve_spec_path(spec: str) -> Path:
@@ -170,14 +171,15 @@ def _parse_emit(raw: str, label: str) -> tuple[str, ...]:
     return emit
 
 
-def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
+def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> ExperimentSpec:
     """Parse and validate an experiment spec file.
 
     All radio/network parameters default to the ``table1-verbatim`` profile
-    and its benchmark scenario; the seed source (``seeds`` or ``base_seed``
-    + ``seed_count``) is mandatory.  A ``profile`` replaces the spec's
-    ``[radio] profile`` key; the spec's per-key radio values still apply on
-    top of it.
+    and its benchmark scenario; the seed source (``seeds``, or
+    ``base_seed`` + ``seed_count``, never both) is mandatory.  ``flags``
+    maps CLI flags of ``FLAG_KEYS`` to values that replace the spec keys
+    they name; ``--profile`` replaces only the ``[radio] profile`` key, so
+    the spec's per-key radio values still apply on top of it.
     """
     path = resolve_spec_path(str(path))
     parser = configparser.ConfigParser(interpolation=None)
@@ -186,10 +188,13 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
             parser.read_file(f, source=str(path))
     except configparser.Error as exc:
         raise SpecError(f"{path}: {exc}") from exc
-    if profile is not None:
-        if not parser.has_section("radio"):
-            parser.add_section("radio")
-        parser.set("radio", "profile", profile)
+    flag_of = {}
+    for flag, value in (flags or {}).items():
+        section, key = FLAG_KEYS[flag]
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser.set(section, key, value)
+        flag_of[section, key] = flag
 
     where = str(path)
     for section in parser.sections():
@@ -201,45 +206,53 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
                 f"{where}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
 
-    n = _get(parser, "network", "nodes", int, 100, where)
-    side_m = _get(parser, "network", "field_m", float, 100.0, where)
-    bs_x = _get(parser, "network", "bs_x", float, None, where)
-    bs_y = _get(parser, "network", "bs_y", float, None, where)
+    def label(section, key):
+        return flag_of.get((section, key), f"{where}: [{section}] {key}")
+
+    def get(section, key, cast, default):
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except (ValueError, TypeError) as exc:
+            raise SpecError(f"{label(section, key)} = {raw!r}: {exc}") from exc
+
+    n = get("network", "nodes", int, 100)
+    side_m = get("network", "field_m", float, 100.0)
+    bs_x = get("network", "bs_x", float, None)
+    bs_y = get("network", "bs_y", float, None)
     if (bs_x is None) != (bs_y is None):
         raise SpecError(f"{where}: [network] bs_x and bs_y must be given together")
     bs_position = (bs_x, bs_y) if bs_x is not None else None
-    max_rounds = _get(parser, "network", "max_rounds", int, 10000, where)
+    max_rounds = get("network", "max_rounds", int, 10000)
 
-    profile = _get(parser, "radio", "profile", str, "table1-verbatim", where)
+    profile = get("radio", "profile", str, "table1-verbatim")
     if profile not in RADIO_PROFILES:
         raise SpecError(
-            f"{where}: [radio] profile must be one of {', '.join(sorted(RADIO_PROFILES))}"
+            f"{label('radio', 'profile')} must be one of {', '.join(sorted(RADIO_PROFILES))}"
         )
     base_radio = RADIO_PROFILES[profile]
     try:
         radio = RadioParams(
-            e_elec=_get(parser, "radio", "e_elec_j", float, base_radio.e_elec, where),
-            eps_fs=_get(parser, "radio", "eps_fs_j", float, base_radio.eps_fs, where),
-            eps_mp=_get(parser, "radio", "eps_mp_j", float, base_radio.eps_mp, where),
-            e_da=_get(parser, "radio", "e_da_j", float, base_radio.e_da, where),
-            d0=_get(parser, "radio", "d0_m", float, base_radio.d0, where),
-            message_bits=_get(
-                parser, "radio", "message_bits", int, base_radio.message_bits, where
-            ),
+            e_elec=get("radio", "e_elec_j", float, base_radio.e_elec),
+            eps_fs=get("radio", "eps_fs_j", float, base_radio.eps_fs),
+            eps_mp=get("radio", "eps_mp_j", float, base_radio.eps_mp),
+            e_da=get("radio", "e_da_j", float, base_radio.e_da),
+            d0=get("radio", "d0_m", float, base_radio.d0),
+            message_bits=get("radio", "message_bits", int, base_radio.message_bits),
         )
         het = HeterogeneityParams(
-            m=_get(parser, "heterogeneity", "m", float, 0.8, where),
-            m0=_get(parser, "heterogeneity", "m0", float, 0.6, where),
-            a=_get(parser, "heterogeneity", "a", float, 2.0, where),
-            b=_get(parser, "heterogeneity", "b", float, 3.5, where),
-            e0=_get(parser, "heterogeneity", "e0_j", float, 0.5, where),
+            m=get("heterogeneity", "m", float, 0.8),
+            m0=get("heterogeneity", "m0", float, 0.6),
+            a=get("heterogeneity", "a", float, 2.0),
+            b=get("heterogeneity", "b", float, 3.5),
+            e0=get("heterogeneity", "e0_j", float, 0.5),
         )
-        p_opt = _get(parser, "protocol", "p_opt", float, 0.1, where)
-        z = _get(parser, "protocol", "z", float, 0.7, where)
-        c = _get(parser, "protocol", "c", float, 1.0, where)
-        avg_energy_mode = _get(
-            parser, "protocol", "avg_energy_mode", str, "estimated", where
-        )
+        p_opt = get("protocol", "p_opt", float, 0.1)
+        z = get("protocol", "z", float, 0.7)
+        c = get("protocol", "c", float, 1.0)
+        avg_energy_mode = get("protocol", "avg_energy_mode", str, "estimated")
         # constructed once here so range violations surface as spec errors
         ProtocolConfig(
             kind=Protocol.EDDEEC, p_opt=p_opt, z=z, c=c, avg_energy_mode=avg_energy_mode
@@ -249,14 +262,12 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
 
-    raw_protocols = _get(
-        parser, "experiment", "protocols", str, "deec,ddeec,edeec,eddeec", where
-    )
-    protocols = _parse_protocols(raw_protocols, f"{where}: [experiment] protocols")
+    raw_protocols = get("experiment", "protocols", str, "deec,ddeec,edeec,eddeec")
+    protocols = _parse_protocols(raw_protocols, label("experiment", "protocols"))
 
-    base_seed = _get(parser, "experiment", "base_seed", int, None, where)
-    seed_count = _get(parser, "experiment", "seed_count", int, None, where)
-    raw_seeds = _get(parser, "experiment", "seeds", str, None, where)
+    base_seed = get("experiment", "base_seed", int, None)
+    seed_count = get("experiment", "seed_count", int, None)
+    raw_seeds = get("experiment", "seeds", str, None)
     if raw_seeds is not None:
         try:
             seeds = tuple(int(tok.strip()) for tok in raw_seeds.split(",") if tok.strip())
@@ -266,21 +277,28 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
             raise SpecError(f"{where}: [experiment] seeds is empty")
         if len(set(seeds)) != len(seeds):
             raise SpecError(f"{where}: [experiment] seeds lists a seed twice")
+        also = [flag_of.get(("experiment", key), key)
+                for key in ("base_seed", "seed_count") if parser.has_option("experiment", key)]
+        if also:
+            raise SpecError(
+                f"{where}: [experiment] seeds excludes base_seed and seed_count, "
+                f"but {' and '.join(also)} is also given"
+            )
     elif base_seed is not None and seed_count is not None:
         if seed_count < 1:
-            raise SpecError(f"{where}: [experiment] seed_count must be at least 1")
+            raise SpecError(f"{label('experiment', 'seed_count')} must be at least 1")
         seeds = derive_seeds(base_seed, seed_count)
     else:
         raise SpecError(
             f"{where}: [experiment] must give either seeds or base_seed + seed_count"
         )
 
-    output_dir = Path(_get(parser, "experiment", "output_dir", str, "results", where))
-    raw_emit = _get(parser, "experiment", "emit", str, "csv,svg,summary", where)
-    emit = _parse_emit(raw_emit, f"{where}: [experiment] emit")
-    jobs = _get(parser, "experiment", "jobs", int, 1, where)
+    output_dir = Path(get("experiment", "output_dir", str, "results"))
+    raw_emit = get("experiment", "emit", str, "csv,svg,summary")
+    emit = _parse_emit(raw_emit, label("experiment", "emit"))
+    jobs = get("experiment", "jobs", int, 1)
     if jobs < 1:
-        raise SpecError(f"{where}: [experiment] jobs must be at least 1")
+        raise SpecError(f"{label('experiment', 'jobs')} must be at least 1")
 
     try:
         spec = ExperimentSpec(
@@ -296,7 +314,6 @@ def load_spec(path: str | Path, profile: str | None = None) -> ExperimentSpec:
             avg_energy_mode=avg_energy_mode,
             protocols=protocols,
             seeds=seeds,
-            base_seed=base_seed,
             output_dir=output_dir,
             emit=emit,
             jobs=jobs,
@@ -458,29 +475,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    if args.output_dir is not None:
-        spec = replace(spec, output_dir=Path(args.output_dir))
-    if args.seed_count is not None:
-        if spec.base_seed is None:
-            raise SpecError("--seed-count needs a base_seed in the spec file")
-        spec = replace(spec, seeds=derive_seeds(spec.base_seed, args.seed_count))
-    if args.protocols is not None:
-        spec = replace(spec, protocols=_parse_protocols(args.protocols, "--protocols"))
-    if args.emit is not None:
-        spec = replace(spec, emit=_parse_emit(args.emit, "--emit"))
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise SpecError("--jobs must be at least 1")
-        spec = replace(spec, jobs=args.jobs)
-    return spec
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = vars(build_parser().parse_args(argv))
+    flags = {}
+    for flag in FLAG_KEYS:
+        value = args[flag[2:].replace("-", "_")]
+        if value is not None:
+            flags[flag] = str(value)
     try:
-        spec = load_spec(args.spec, profile=args.profile)
-        spec = _apply_overrides(spec, args)
+        spec = load_spec(args["spec"], flags)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

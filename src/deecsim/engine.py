@@ -17,7 +17,7 @@ import numpy as np
 from . import protocols as proto
 from ._kernels import ASSIGN_DIRECT_BS, Backend, _transmit, get_backend
 from .metrics import SimResult
-from .model import FieldGeometry, NodeClass, NodeState, RadioParams
+from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
     AVG_ENERGY_FLOOR_J,
     P_MAX,
@@ -124,13 +124,10 @@ class Simulation:
         self._r_lifetime = self.estimate.r_lifetime
 
         # Run constants: the kernels see only what changes from round to round.
-        p_opt = config.protocol.p_opt
-        weights = proto.class_weights(config.protocol.kind, config.het)
-        self._pw = np.array([p_opt * w for w in weights], dtype=np.float64)[node_class]
-        self._t_low, w_low = proto.low_energy_rule(
-            config.protocol.kind, config.protocol, config.het
+        pw_by_class, self._t_low, self._pw_low = proto.election_constants(
+            config.protocol, config.het
         )
-        self._pw_low = p_opt * w_low
+        self._pw = pw_by_class[node_class]
         self._energy_factor = config.het.total_energy_factor
         radio = config.radio
         bits = float(radio.message_bits)
@@ -142,18 +139,6 @@ class Simulation:
 
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.alive))
-
-    def node(self, i: int) -> NodeState:
-        """Snapshot of node ``i`` as a value object."""
-        return NodeState(
-            id=i,
-            position=(float(self.x[i]), float(self.y[i])),
-            node_class=NodeClass(int(self.node_class[i])),
-            initial_energy=float(self.initial_energy[i]),
-            residual_energy=float(self.residual[i]),
-            alive=bool(self.alive[i]),
-            ineligible_until=int(self.ineligible_until[i]),
-        )
 
     def average_energy(self) -> float:
         """Average-energy reference for the current round, per config mode."""

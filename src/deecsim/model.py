@@ -1,5 +1,5 @@
-"""Physical model shared by every protocol: nodes, field geometry, and the
-first-order radio energy costs.
+"""Physical model shared by every protocol: node classes, field geometry,
+and the first-order radio energy costs.
 
 Transmission costs ``bits * e_elec`` for the electronics plus an amplifier
 term that is quadratic in distance below the crossover ``d0`` (free-space)
@@ -20,23 +20,6 @@ class NodeClass(IntEnum):
     NORMAL = 0
     ADVANCED = 1
     SUPER = 2
-
-
-@dataclass
-class NodeState:
-    """One sensor node's mutable simulation state.
-
-    ``ineligible_until`` is the first round index at which the node may be
-    elected cluster head again.
-    """
-
-    id: int
-    position: tuple[float, float]
-    node_class: NodeClass
-    initial_energy: float
-    residual_energy: float
-    alive: bool = True
-    ineligible_until: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,21 +127,3 @@ def aggregation_energy(bits: int, signals: int, radio: RadioParams) -> float:
     if signals < 1:
         raise ValueError("a cluster head aggregates at least its own signal")
     return bits * radio.e_da * signals
-
-
-def deduct(node: NodeState, cost: float) -> NodeState:
-    """Charge ``cost`` joules to ``node``, clamping at zero.
-
-    A node that cannot cover the cost still performs the action: the
-    residual is clamped to zero and the node is marked dead.  Returns the
-    mutated node.
-    """
-    if cost < 0:
-        raise ValueError("cost must be non-negative")
-    remaining = node.residual_energy - cost
-    if remaining <= 0.0:
-        node.residual_energy = 0.0
-        node.alive = False
-    else:
-        node.residual_energy = remaining
-    return node

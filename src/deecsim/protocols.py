@@ -1,20 +1,22 @@
-"""DEEC-family election mathematics.
+"""DEEC-family protocol parameters and a-priori network estimates.
 
-Covers the a-priori network lifetime estimators (total energy, per-round
-dissipation, expected distances, optimal cluster count), the rotating
-election threshold ``p / (1 - p * (r mod round(1/p)))``, and the
-per-protocol cluster-head probability rules for DEEC, DDEEC, EDEEC and
-EDDEEC.
+Covers the heterogeneous population, the per-protocol election constants
+(:func:`election_constants`), and the a-priori lifetime estimators (total
+energy, per-round dissipation, expected distances, optimal cluster count).
 
-The four protocols share one functional form: an alive node's election
-probability is ``p_opt * w * E / ((1 + m*(a + m0*b)) * avg_energy)`` where
-``E`` is its residual energy and ``w`` a class-dependent weight.
+The four protocols share one election law: an alive node's probability is
+``p_opt * w * E / ((1 + m*(a + m0*b)) * avg_energy)``, clamped to
+``P_MAX``, where ``E`` is its residual energy and ``w`` a class-dependent
+weight; it draws against the rotating threshold
+``p / (1 - p * (r mod round(1/p)))``.  The law itself is written once, in
+``_kernels._probability`` and ``_kernels._rotation``; this module supplies
+the weights and the low-energy rule it is evaluated with.
 
 ============  =====================  =============================================
 protocol      weights (nml/adv/sup)  low-energy rule
 ============  =====================  =============================================
 DEEC          1 / 1+a / 1+a          none
-DDEEC         1 / 1+a / 1+a          below z*e0 every class weighs 1+a
+DDEEC         1 / 1+a / 1+a          at or below z*e0 every class weighs 1+a
 EDEEC         1 / 1+a / 1+b          none
 EDDEEC        1 / 1+a / 1+b          at or below z*e0 every class weighs c*(1+b)
 ============  =====================  =============================================
@@ -30,7 +32,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import FieldGeometry, NodeClass, NodeState, RadioParams
+import numpy as np
+
+from .model import FieldGeometry, NodeClass, RadioParams
 
 # The linear average-energy estimate reaches zero at the estimated lifetime
 # and would go negative past it; it is floored here so probabilities stay
@@ -39,10 +43,6 @@ AVG_ENERGY_FLOOR_J = 1e-6
 
 # Election probabilities feed the rotating threshold, which requires p < 1.
 P_MAX = 0.99
-
-# Epoch lengths round(1/p) beyond this have no exact integer form in a
-# float64; the threshold correction term is negligible there (p < 1.2e-16).
-_EPOCH_LIMIT = 2.0**53
 
 
 class Protocol(str, Enum):
@@ -245,64 +245,24 @@ def absolute_threshold(z: float, e0: float) -> float:
     return z * e0
 
 
-def class_weights(kind: Protocol, het: HeterogeneityParams) -> tuple[float, float, float]:
-    """Election weights (normal, advanced, super) for ``kind``."""
-    if kind in (Protocol.DEEC, Protocol.DDEEC):
-        return 1.0, 1.0 + het.a, 1.0 + het.a
-    return 1.0, 1.0 + het.a, 1.0 + het.b
+def election_constants(
+    cfg: ProtocolConfig, het: HeterogeneityParams
+) -> tuple[np.ndarray, float, float]:
+    """Per-run constants of the election law in ``_kernels._probability``.
 
-
-def low_energy_rule(
-    kind: Protocol, cfg: ProtocolConfig, het: HeterogeneityParams
-) -> tuple[float, float]:
-    """(threshold_j, weight) applied to every class once residual energy is
-    at or below the threshold.  A negative threshold disables the rule."""
-    if kind == Protocol.EDDEEC:
-        return absolute_threshold(cfg.z, het.e0), cfg.c * (1.0 + het.b)
-    if kind == Protocol.DDEEC:
-        return absolute_threshold(cfg.z, het.e0), 1.0 + het.a
-    return -1.0, 0.0
-
-
-def ch_probability(
-    node: NodeState, avg_energy: float, het: HeterogeneityParams, cfg: ProtocolConfig
-) -> float:
-    """Election probability of ``node`` given the network average energy.
-
-    Clamped to at most ``P_MAX`` so the rotating threshold stays defined.
-    Rejects dead nodes and non-positive averages: both indicate an engine
-    bookkeeping bug, not a legal protocol state.
+    Returns ``(pw_by_class, t_low, pw_low)``: ``p_opt * w`` for the normal,
+    advanced and super class, and the low-energy rule's threshold and
+    ``p_opt * w_low``.  A negative ``t_low`` disables the rule.
     """
-    if not node.alive:
-        raise ValueError("dead nodes have no election probability")
-    if avg_energy <= 0.0:
-        raise ValueError("avg_energy must be strictly positive")
-    e = node.residual_energy
-    t_low, w_low = low_energy_rule(cfg.kind, cfg, het)
-    if t_low >= 0.0 and e <= t_low:
-        w = w_low
+    if cfg.kind in (Protocol.DEEC, Protocol.DDEEC):
+        weights = (1.0, 1.0 + het.a, 1.0 + het.a)
     else:
-        w = class_weights(cfg.kind, het)[node.node_class]
-    denom = het.total_energy_factor * avg_energy
-    return min(cfg.p_opt * w * e / denom, P_MAX)
-
-
-def election_threshold(p: float, r: int) -> float:
-    """Rotating threshold ``p / (1 - p * (r mod round(1/p)))``.
-
-    The modulus is the integer epoch length ``round(1/p)``; the result is
-    clamped into [p, 1].  At epoch-start rounds the threshold equals ``p``
-    and it saturates to 1 at the last round of an epoch.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    epoch = round(min(1.0 / p, _EPOCH_LIMIT))
-    return min(p / (1.0 - p * (r % epoch)), 1.0)
-
-
-def epoch_length(p: float) -> int:
-    """Integer epoch length ``round(1/p)``: rounds a freshly elected head
-    stays out of the eligible set."""
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie in (0, 1)")
-    return round(min(1.0 / p, _EPOCH_LIMIT))
+        weights = (1.0, 1.0 + het.a, 1.0 + het.b)
+    if cfg.kind == Protocol.EDDEEC:
+        t_low, w_low = absolute_threshold(cfg.z, het.e0), cfg.c * (1.0 + het.b)
+    elif cfg.kind == Protocol.DDEEC:
+        t_low, w_low = absolute_threshold(cfg.z, het.e0), 1.0 + het.a
+    else:
+        t_low, w_low = -1.0, 0.0
+    pw_by_class = np.array([cfg.p_opt * w for w in weights], dtype=np.float64)
+    return pw_by_class, t_low, cfg.p_opt * w_low

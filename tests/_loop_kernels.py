@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from deecsim._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, ASSIGN_NONE, Backend
-from deecsim.protocols import _EPOCH_LIMIT
+from deecsim._kernels import _EPOCH_LIMIT, ASSIGN_CH, ASSIGN_DIRECT_BS, ASSIGN_NONE, Backend
 
 
 def _elect_loop(residual, alive, ineligible_until, u, rnd,

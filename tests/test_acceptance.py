@@ -21,25 +21,23 @@ import pytest
 from _golden import GOLDEN, digest
 
 from deecsim import (
-    NodeClass,
-    NodeState,
+    P_MAX,
     Protocol,
     ProtocolConfig,
     Simulation,
     absolute_threshold,
     aggregation_energy,
-    ch_probability,
     distance,
-    election_threshold,
-    epoch_length,
     expected_distances,
     run,
     rx_energy,
     summarize,
     tx_energy,
 )
+from deecsim._kernels import _elect_numpy, _probability, _rotation
 from deecsim.cli import load_spec, run_experiment
 from deecsim.metrics import BatchSummary
+from deecsim.protocols import election_constants
 
 
 def report(number: int, description: str, ok: bool, detail: str) -> None:
@@ -141,24 +139,28 @@ def test_criterion_3_packet_dominance(batch):
     report(3, "packets-to-BS dominance", ok, detail)
 
 
+def probabilities(e, pw, avg, het, cfg):
+    """The engine's election probability of residuals ``e`` at class
+    weights ``pw`` (``p_opt * w``) and average energies ``avg``."""
+    _, t_low, pw_low = election_constants(cfg, het)
+    return _probability(e, pw, het.total_energy_factor * avg, t_low, pw_low, P_MAX)
+
+
 def test_criterion_4_reduction_identity(spec):
     rng = np.random.default_rng(20130228)
     eddeec = ProtocolConfig(kind=Protocol.EDDEEC, p_opt=spec.p_opt, z=0.0, c=spec.c)
     edeec = ProtocolConfig(kind=Protocol.EDEEC, p_opt=spec.p_opt)
-    mismatches = 0
-    for _ in range(1000):
-        node = NodeState(
-            id=0,
-            position=(0.0, 0.0),
-            node_class=NodeClass(int(rng.integers(0, 3))),
-            initial_energy=2.25,
-            residual_energy=float(rng.uniform(1e-9, 2.25)),
-        )
-        avg = float(rng.uniform(1e-6, 3.0))
-        if ch_probability(node, avg, spec.het, eddeec) != ch_probability(
-            node, avg, spec.het, edeec
-        ):
-            mismatches += 1
+    node_class, e, avg = np.zeros(1000, dtype=np.int64), np.zeros(1000), np.zeros(1000)
+    for i in range(1000):
+        node_class[i] = rng.integers(0, 3)
+        e[i] = rng.uniform(1e-9, 2.25)
+        avg[i] = rng.uniform(1e-6, 3.0)
+    p = {
+        cfg.kind: probabilities(e, election_constants(cfg, spec.het)[0][node_class],
+                                avg, spec.het, cfg)
+        for cfg in (eddeec, edeec)
+    }
+    mismatches = int(np.count_nonzero(p[Protocol.EDDEEC] != p[Protocol.EDEEC]))
     report(4, "z=0 reduces the four-branch rule to the three-branch rule",
            mismatches == 0, f"{mismatches}/1000 mismatches (tolerance 0)")
 
@@ -168,18 +170,14 @@ def test_criterion_5_sub_threshold_equality(spec):
     threshold = absolute_threshold(spec.z, spec.het.e0)
     assert threshold == 0.35
     cfg = ProtocolConfig(kind=Protocol.EDDEEC, p_opt=spec.p_opt, z=spec.z, c=spec.c)
-    mismatches = 0
-    for _ in range(1000):
-        e = float(rng.uniform(1e-9, threshold))
-        avg = float(rng.uniform(1e-6, 3.0))
-        values = {
-            ch_probability(
-                NodeState(0, (0.0, 0.0), cls, 2.25, e), avg, spec.het, cfg
-            )
-            for cls in NodeClass
-        }
-        if len(values) != 1:
-            mismatches += 1
+    e, avg = np.zeros((1000, 1)), np.zeros((1000, 1))
+    for i in range(1000):
+        e[i] = rng.uniform(1e-9, threshold)
+        avg[i] = rng.uniform(1e-6, 3.0)
+    # one column per class: normal, advanced, super
+    pw_by_class = election_constants(cfg, spec.het)[0]
+    p = probabilities(np.repeat(e, 3, axis=1), pw_by_class, avg, spec.het, cfg)
+    mismatches = int(np.count_nonzero((p != p[:, :1]).any(axis=1)))
     report(5, "sub-threshold election probability is class-blind",
            mismatches == 0, f"{mismatches}/1000 mismatches (tolerance 0)")
 
@@ -258,25 +256,27 @@ def test_criterion_8_closed_forms():
         "absolute threshold 0.7*0.5": absolute_threshold(0.7, 0.5) == 0.35,
         "expected BS distance": expected_distances(100.0, 1)[1] == 38.25,
         "nominal total energy": load_spec("paper-sec3").het.total_energy(100) == 214.0,
-        "saturated threshold": abs(election_threshold(0.1, 9) - 1.0) <= 1e-12,
+        "saturated threshold": abs(_rotation(np.array([0.1]), 9)[1][0] - 1.0) <= 1e-12,
     }
     failed = [name for name, ok in checks.items() if not ok]
     report(8, "closed-form unit checks", not failed, f"failed: {failed or 'none'}")
 
 
 def test_criterion_9_epoch_rotation_rate():
-    p = 0.1
+    # the engine's election kernel with p = 0.1 for every node: unit
+    # residuals, p_opt * w = 0.1, denom = 1 and the low-energy rule off
     n, rounds = 100, 1000  # 1e5 node-rounds
     rng = np.random.default_rng(902)
+    residual = np.ones(n)
+    alive = np.ones(n, dtype=np.bool_)
+    pw = np.full(n, 0.1)
     ineligible_until = np.zeros(n, dtype=np.int64)
     elections = 0
     for r in range(rounds):
         u = rng.random(n)
-        threshold_cache = election_threshold(p, r)
-        eligible = ineligible_until <= r
-        elected = eligible & (u < threshold_cache)
-        elections += int(elected.sum())
-        ineligible_until[elected] = r + epoch_length(p)
+        heads = _elect_numpy(residual, alive, ineligible_until, u, r,
+                             pw, 1.0, -1.0, 0.0, P_MAX)
+        elections += heads.size
     rate = elections / (n * rounds)
     report(9, "static-probability rotation elects each node ~once per 10 rounds",
            0.09 <= rate <= 0.11, f"rate {rate:.4f} per node-round (target 0.1 +-10%)")

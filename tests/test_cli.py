@@ -1,11 +1,16 @@
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deecsim import RADIO_PROFILES, Protocol
 from deecsim import cli
 from deecsim.cli import (
+    EMIT_CHOICES,
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
@@ -138,6 +143,15 @@ class TestLoadSpec:
         path.write_text("[experiment]\nseeds = 5, 6, 7\n")
         assert load_spec(path).seeds == (5, 6, 7)
 
+    @pytest.mark.parametrize("keys", [
+        "base_seed = 1\nseed_count = 5\n", "base_seed = 1\n", "seed_count = 5\n",
+    ])
+    def test_seed_list_excludes_derived_seeds(self, tmp_path, keys):
+        path = tmp_path / "x.cfg"
+        path.write_text("[experiment]\nseeds = 7, 8\n" + keys)
+        with pytest.raises(SpecError, match="seeds excludes base_seed and seed_count"):
+            load_spec(path)
+
     def test_duplicate_seeds_rejected(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("[experiment]\nseeds = 1, 2, 1\n")
@@ -242,9 +256,27 @@ class TestMain:
 
     def test_duplicate_seed_list(self, tmp_path, capsys):
         out = tmp_path / "r"
-        path = write_tiny_spec(tmp_path, out, extra="seeds = 1, 1\n")
+        path = write_tiny_spec(tmp_path, out)
+        path.write_text(path.read_text().replace("base_seed = 7\nseed_count = 2\n",
+                                                 "seeds = 1, 1\n"))
         assert main(["run", str(path), "--protocols", "deec"]) == EXIT_VALIDATION
         assert "seeds lists a seed twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_two_seed_sources_exit_validation(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out, extra="seeds = 7, 8\n")
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        assert "but base_seed and seed_count is also given" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_count_flag_needs_derived_seeds(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out)
+        path.write_text(path.read_text().replace("base_seed = 7\nseed_count = 2\n",
+                                                 "seeds = 7, 8\n"))
+        assert main(["run", str(path), "--seed-count", "3"]) == EXIT_VALIDATION
+        assert "but --seed-count is also given" in capsys.readouterr().err
         assert not out.exists()
 
     def test_emit_subset(self, tmp_path):
@@ -319,3 +351,56 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_VALIDATION
+
+
+# Every flag with values it accepts; --output-dir takes a directory name
+# under the case's temporary directory.
+FLAG_VALUES = {
+    "--output-dir": st.sampled_from(["out", "other", "a b"]),
+    "--seed-count": st.integers(1, 3),
+    "--protocols": st.lists(st.sampled_from(["deec", "DDEEC", "edeec", "EDDEEC"]),
+                            min_size=1, max_size=4, unique_by=str.lower).map(",".join),
+    "--emit": st.lists(st.sampled_from(EMIT_CHOICES), min_size=1, unique=True).map(",".join),
+    "--jobs": st.integers(1, 3),
+    "--profile": st.sampled_from(sorted(RADIO_PROFILES)),
+}
+
+
+def _artifacts(argv, out):
+    """Exit code and ``{name: bytes}`` of one ``main`` call writing into ``out``."""
+    code = main(argv)
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    shutil.rmtree(out, ignore_errors=True)
+    return code, files
+
+
+class TestFlagsAreSpecKeys:
+    """A flag set to v writes the same artifact bytes as its spec key set to v."""
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @given(data=st.data())
+    @settings(max_examples=4, deadline=None)
+    def test_flag_equals_key(self, flag, data):
+        value = str(data.draw(FLAG_VALUES[flag]))
+        section, key = cli.FLAG_KEYS[flag]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "results"
+            if flag == "--output-dir":
+                value = str(tmp / value)
+                out = Path(value)
+            # a capped tiny spec: 20 nodes, 40 rounds
+            spec = TINY_SPEC.replace("max_rounds = 150", "max_rounds = 40")
+            spec += f"output_dir = {tmp / 'results'}\n"
+            flagged = tmp / "flagged.cfg"
+            flagged.write_text(spec)
+            keyed = tmp / "keyed.cfg"
+            lines = [line for line in spec.splitlines() if not line.startswith(f"{key} =")]
+            at = lines.index(f"[{section}]") + 1
+            keyed.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+
+            by_key = _artifacts(["run", str(keyed)], out)
+            by_flag = _artifacts(["run", str(flagged), flag, value], out)
+        assert by_key[0] == EXIT_OK
+        assert by_key[1]
+        assert by_flag == by_key

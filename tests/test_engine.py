@@ -31,8 +31,9 @@ from deecsim import (
     summarize,
     tx_energy,
 )
+from deecsim._kernels import _EPOCH_LIMIT
 from deecsim.metrics import SimResult
-from deecsim.protocols import _EPOCH_LIMIT, P_MAX
+from deecsim.protocols import P_MAX
 
 DATA = Path(__file__).parent / "data"
 LEACH = RADIO_PROFILES["leach-standard"]
@@ -556,6 +557,25 @@ class TestSteadyState:
             + tx_energy(4000, d, radio)
         )
         assert before[1] - sim.residual[1] == pytest.approx(expected, rel=1e-12)
+
+    def test_death_rule(self, kernels):
+        # three direct nodes paying tx_bs = 0.25 J from residuals above, at
+        # and below it, and one node dead at round start; dyadic values keep
+        # every difference exact
+        codes = np.array([ASSIGN_DIRECT_BS] * 3 + [ASSIGN_NONE], dtype=np.int64)
+        residual = np.array([1.0, 0.25, 0.125, 0.0])
+        alive = codes != ASSIGN_NONE
+        charge, overdraft, to_bs, to_ch, heads = kernels.steady(
+            np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive, codes,
+            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
+        )
+        assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
+        # residual > charge: alive with the difference; residual == charge:
+        # dead, no overdraft; residual < charge: dead, overdraft = shortfall
+        assert residual.tolist() == [0.75, 0.0, 0.0, 0.0]
+        assert alive.tolist() == [True, False, False, False]
+        assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
+        assert (to_bs, to_ch, heads.size) == (3, 0, 0)
 
     def test_ledger_closes_every_round(self, config_sec3, kernels):
         # independent oracle: recompute all charges through the scalar model

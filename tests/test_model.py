@@ -5,11 +5,8 @@ import pytest
 from deecsim import (
     RADIO_PROFILES,
     FieldGeometry,
-    NodeClass,
-    NodeState,
     RadioParams,
     aggregation_energy,
-    deduct,
     distance,
     rx_energy,
     tx_energy,
@@ -17,16 +14,6 @@ from deecsim import (
 
 TABLE1 = RADIO_PROFILES["table1-verbatim"]
 LEACH = RADIO_PROFILES["leach-standard"]
-
-
-def make_node(residual=0.5, initial=0.5, node_class=NodeClass.NORMAL):
-    return NodeState(
-        id=0,
-        position=(0.0, 0.0),
-        node_class=node_class,
-        initial_energy=initial,
-        residual_energy=residual,
-    )
 
 
 class TestDistance:
@@ -103,27 +90,6 @@ class TestAggregationEnergy:
     def test_zero_signals_rejected(self):
         with pytest.raises(ValueError):
             aggregation_energy(4000, 0, TABLE1)
-
-
-class TestDeduct:
-    def test_normal_charge(self):
-        node = deduct(make_node(residual=0.5), 0.1)
-        assert node.residual_energy == pytest.approx(0.4, rel=1e-12)
-        assert node.alive
-
-    def test_exact_depletion_kills(self):
-        node = deduct(make_node(residual=0.05), 0.05)
-        assert node.residual_energy == 0.0
-        assert not node.alive
-
-    def test_overdraft_clamps(self):
-        node = deduct(make_node(residual=0.01), 0.5)
-        assert node.residual_energy == 0.0
-        assert not node.alive
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            deduct(make_node(), -1e-9)
 
 
 class TestRadioParams:

@@ -12,34 +12,37 @@ from deecsim import (
     FieldGeometry,
     HeterogeneityParams,
     NodeClass,
-    NodeState,
     Protocol,
     ProtocolConfig,
     absolute_threshold,
-    ch_probability,
-    election_threshold,
     energy_per_round,
-    epoch_length,
     estimate_average_energy,
     expected_distances,
     make_energy_estimate,
     optimal_cluster_count,
 )
-from deecsim.protocols import class_weights, low_energy_rule
+from deecsim._kernels import _probability, _rotation
+from deecsim.protocols import election_constants
 
 LEACH = RADIO_PROFILES["leach-standard"]
 TABLE1 = RADIO_PROFILES["table1-verbatim"]
 
 
-def node_with(residual, node_class=NodeClass.NORMAL, alive=True):
-    return NodeState(
-        id=0,
-        position=(0.0, 0.0),
-        node_class=node_class,
-        initial_energy=2.25,
-        residual_energy=residual,
-        alive=alive,
-    )
+def probability(residual, avg, het, cfg, node_class=NodeClass.NORMAL):
+    """The election kernel's probability for one node of ``node_class``."""
+    pw_by_class, t_low, pw_low = election_constants(cfg, het)
+    p = _probability(np.array([residual]), pw_by_class[[node_class]],
+                     het.total_energy_factor * avg, t_low, pw_low, P_MAX)
+    return float(p[0])
+
+
+def threshold(p, r):
+    """The rotating threshold of probability ``p`` at round ``r``."""
+    return float(_rotation(np.array([p]), r)[1][0])
+
+
+def epoch_length(p):
+    return int(_rotation(np.array([p]), 0)[0][0])
 
 
 class TestHeterogeneityParams:
@@ -220,34 +223,40 @@ class TestAbsoluteThreshold:
 
 class TestClassWeights:
     def test_weights(self, het_sec3):
-        assert class_weights(Protocol.DEEC, het_sec3) == (1.0, 3.0, 3.0)
-        assert class_weights(Protocol.DDEEC, het_sec3) == (1.0, 3.0, 3.0)
-        assert class_weights(Protocol.EDEEC, het_sec3) == (1.0, 3.0, 4.5)
-        assert class_weights(Protocol.EDDEEC, het_sec3) == (1.0, 3.0, 4.5)
+        weights = {
+            Protocol.DEEC: (1.0, 3.0, 3.0),
+            Protocol.DDEEC: (1.0, 3.0, 3.0),
+            Protocol.EDEEC: (1.0, 3.0, 4.5),
+            Protocol.EDDEEC: (1.0, 3.0, 4.5),
+        }
+        for kind, w in weights.items():
+            pw_by_class = election_constants(ProtocolConfig(kind=kind), het_sec3)[0]
+            # p_opt * w at the default p_opt = 0.1
+            assert pw_by_class.tolist() == [0.1 * x for x in w]
 
     def test_low_energy_rules(self, het_sec3):
-        cfg = ProtocolConfig(kind=Protocol.EDDEEC, z=0.7, c=1.0)
-        assert low_energy_rule(Protocol.EDDEEC, cfg, het_sec3) == (0.35, 4.5)
-        assert low_energy_rule(Protocol.DDEEC, cfg, het_sec3) == (0.35, 3.0)
-        threshold, _ = low_energy_rule(Protocol.DEEC, cfg, het_sec3)
-        assert threshold < 0
-        threshold, _ = low_energy_rule(Protocol.EDEEC, cfg, het_sec3)
-        assert threshold < 0
+        def rule(kind):
+            cfg = ProtocolConfig(kind=kind, z=0.7, c=1.0)
+            return election_constants(cfg, het_sec3)[1:]
+
+        assert rule(Protocol.EDDEEC) == (0.35, 0.1 * 4.5)
+        assert rule(Protocol.DDEEC) == (0.35, 0.1 * 3.0)
+        t_low, _ = rule(Protocol.DEEC)
+        assert t_low < 0
+        t_low, _ = rule(Protocol.EDEEC)
+        assert t_low < 0
 
 
 class TestChProbability:
     def test_edeec_normal_at_average(self, het_sec3):
         # oracle: 0.1 / 4.28 with E == avg_energy and weight 1
         cfg = ProtocolConfig(kind=Protocol.EDEEC)
-        p = ch_probability(node_with(1.0), 1.0, het_sec3, cfg)
+        p = probability(1.0, 1.0, het_sec3, cfg)
         assert p == pytest.approx(0.02336448598130841, rel=1e-14)
 
     def test_eddeec_sub_threshold_class_blind(self, het_sec3):
         cfg = ProtocolConfig(kind=Protocol.EDDEEC, z=0.7, c=1.0)
-        values = {
-            cls: ch_probability(node_with(0.3, cls), 1.7, het_sec3, cfg)
-            for cls in NodeClass
-        }
+        values = {cls: probability(0.3, 1.7, het_sec3, cfg, cls) for cls in NodeClass}
         assert values[NodeClass.NORMAL] == values[NodeClass.ADVANCED] == values[NodeClass.SUPER]
 
     def test_eddeec_z_zero_is_edeec(self, het_sec3):
@@ -258,24 +267,23 @@ class TestChProbability:
             e = float(rng.uniform(1e-6, 2.25))
             avg = float(rng.uniform(1e-4, 2.5))
             cls = NodeClass(int(rng.integers(0, 3)))
-            node = node_with(e, cls)
-            assert ch_probability(node, avg, het_sec3, eddeec) == ch_probability(
-                node, avg, het_sec3, edeec
+            assert probability(e, avg, het_sec3, eddeec, cls) == probability(
+                e, avg, het_sec3, edeec, cls
             )
 
     def test_class_ordering_above_threshold(self, het_sec3):
         for kind in (Protocol.EDEEC, Protocol.EDDEEC):
             cfg = ProtocolConfig(kind=kind)
             e = 1.0  # above 0.35
-            p_n = ch_probability(node_with(e, NodeClass.NORMAL), 1.5, het_sec3, cfg)
-            p_a = ch_probability(node_with(e, NodeClass.ADVANCED), 1.5, het_sec3, cfg)
-            p_s = ch_probability(node_with(e, NodeClass.SUPER), 1.5, het_sec3, cfg)
+            p_n = probability(e, 1.5, het_sec3, cfg, NodeClass.NORMAL)
+            p_a = probability(e, 1.5, het_sec3, cfg, NodeClass.ADVANCED)
+            p_s = probability(e, 1.5, het_sec3, cfg, NodeClass.SUPER)
             assert p_n < p_a < p_s
 
     def test_deec_super_uses_advanced_weight(self, het_sec3):
         cfg = ProtocolConfig(kind=Protocol.DEEC)
-        p_a = ch_probability(node_with(1.0, NodeClass.ADVANCED), 1.5, het_sec3, cfg)
-        p_s = ch_probability(node_with(1.0, NodeClass.SUPER), 1.5, het_sec3, cfg)
+        p_a = probability(1.0, 1.5, het_sec3, cfg, NodeClass.ADVANCED)
+        p_s = probability(1.0, 1.5, het_sec3, cfg, NodeClass.SUPER)
         assert p_a == p_s
 
     @given(
@@ -288,38 +296,29 @@ class TestChProbability:
         # scaling E scales p linearly while the branch and clamp stay inactive
         cfg = ProtocolConfig(kind=Protocol.EDEEC)
         avg = 10.0  # large enough that the clamp never fires
-        p1 = ch_probability(node_with(e, NodeClass.ADVANCED), avg, het, cfg)
-        p2 = ch_probability(node_with(e * t, NodeClass.ADVANCED), avg, het, cfg)
+        p1 = probability(e, avg, het, cfg, NodeClass.ADVANCED)
+        p2 = probability(e * t, avg, het, cfg, NodeClass.ADVANCED)
         assert p2 == pytest.approx(p1 * t, rel=1e-9)
 
     def test_clamped_at_p_max(self, het_sec3):
         cfg = ProtocolConfig(kind=Protocol.EDEEC)
-        p = ch_probability(node_with(2.25, NodeClass.SUPER), 1e-6, het_sec3, cfg)
+        p = probability(2.25, 1e-6, het_sec3, cfg, NodeClass.SUPER)
         assert p == P_MAX
-
-    def test_rejects_dead_node(self, het_sec3):
-        cfg = ProtocolConfig(kind=Protocol.EDEEC)
-        with pytest.raises(ValueError):
-            ch_probability(node_with(0.0, alive=False), 1.0, het_sec3, cfg)
-
-    def test_rejects_bad_average(self, het_sec3):
-        cfg = ProtocolConfig(kind=Protocol.EDEEC)
-        with pytest.raises(ValueError):
-            ch_probability(node_with(1.0), 0.0, het_sec3, cfg)
 
 
 class TestElectionThreshold:
     def test_epoch_start_equals_p(self):
         for r in (0, 10, 20, 1000):
-            assert election_threshold(0.1, r) == 0.1
+            assert threshold(0.1, r) == 0.1
 
     def test_epoch_end_saturates(self):
-        assert election_threshold(0.1, 9) == 1.0
-        assert election_threshold(0.1, 19) == 1.0
+        # unclamped: at an epoch's last round every draw u < 1 wins
+        assert threshold(0.1, 9) >= 1.0
+        assert threshold(0.1, 19) >= 1.0
 
     def test_half_probability(self):
-        assert election_threshold(0.5, 1) == 1.0
-        assert election_threshold(0.5, 0) == 0.5
+        assert threshold(0.5, 1) >= 1.0
+        assert threshold(0.5, 0) == 0.5
 
     @given(
         p=st.floats(min_value=1e-6, max_value=0.99),
@@ -327,18 +326,14 @@ class TestElectionThreshold:
     )
     @settings(max_examples=300)
     def test_bounds_and_epoch_start_equality(self, p, r):
-        t = election_threshold(p, r)
-        assert p <= t <= 1.0
+        # the threshold is finite (1 - p * (r mod epoch) stays positive) and
+        # at least p; it exceeds 1 only where round(1/p) rounded 1/p up
+        t = threshold(p, r)
+        assert p <= t < math.inf
         if r % epoch_length(p) == 0:
             assert t == p
         else:
             assert t > p
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            election_threshold(0.0, 1)
-        with pytest.raises(ValueError):
-            election_threshold(1.0, 1)
 
 
 class TestEpochLength:
@@ -359,11 +354,12 @@ class TestEpochLength:
         elections = 0
         for r in range(rounds):
             u = rng.random(n)
+            epoch, t = _rotation(np.array([p]), r)
             for i in range(n):
                 if ineligible_until[i] > r:
                     continue
-                if u[i] < election_threshold(p, r):
+                if u[i] < t[0]:
                     elections += 1
-                    ineligible_until[i] = r + epoch_length(p)
+                    ineligible_until[i] = r + epoch[0]
         rate = elections / (n * rounds)
         assert 0.09 <= rate <= 0.11
