@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from deecsim import (
+    ASSIGN_DIRECT_BS,
     RADIO_PROFILES,
     FieldGeometry,
     RadioParams,
     aggregation_energy,
     distance,
+    get_backend,
     rx_energy,
     tx_energy,
 )
@@ -90,6 +93,39 @@ class TestAggregationEnergy:
     def test_zero_signals_rejected(self):
         with pytest.raises(ValueError):
             aggregation_energy(4000, 0, TABLE1)
+
+
+class TestDeduct:
+    """The per-round charge rule, on the engine's steady kernel: one direct
+    node pays ``tx_bs`` from its residual and dies when the residual does
+    not exceed the charge, any shortfall being recorded as overdraft."""
+
+    def _charge(self, residual, cost):
+        residual = np.array([residual])
+        alive = np.array([True])
+        charge, overdraft, *_ = get_backend().steady(
+            np.zeros(1), np.zeros(1), np.array([cost]), residual, alive,
+            np.array([ASSIGN_DIRECT_BS], dtype=np.int64),
+            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
+        )
+        assert charge[0] == cost
+        return residual[0], bool(alive[0]), overdraft[0]
+
+    def test_normal_charge(self):
+        residual, alive, overdraft = self._charge(0.5, 0.1)
+        assert residual == pytest.approx(0.4, rel=1e-12)
+        assert alive and overdraft == 0.0
+
+    def test_exact_depletion_kills(self):
+        residual, alive, overdraft = self._charge(0.05, 0.05)
+        assert residual == 0.0 and overdraft == 0.0
+        assert not alive
+
+    def test_overdraft_clamps(self):
+        residual, alive, overdraft = self._charge(0.01, 0.5)
+        assert residual == 0.0
+        assert not alive
+        assert overdraft == pytest.approx(0.49, rel=1e-12)
 
 
 class TestRadioParams:
