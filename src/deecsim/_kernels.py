@@ -3,8 +3,8 @@ and steady-state charging, vectorized with numpy.
 
 This module is the only place the per-node laws are written: the election
 probability with its low-energy rule (:func:`_probability`), the epoch and
-rotating threshold (:func:`_rotation`) and the first-order transmit cost
-(:func:`_transmit`).  The engine runs them through the round kernels, and
+rotating threshold (:func:`_rotation`), the first-order transmit cost
+(:func:`_transmit`) and a cluster head's round cost (:func:`_head_charge`).  The engine runs them through the round kernels, and
 the paper's acceptance gates (C4, C5, C8, C9) test these same functions;
 ``protocols.election_constants`` supplies their per-run constants.
 
@@ -89,6 +89,15 @@ def _transmit(d, bits, e_elec, eps_fs, eps_mp, d0):
     """
     d2 = d * d
     return bits * e_elec + np.where(d < d0, bits * eps_fs * d2, bits * eps_mp * (d2 * d2))
+
+
+def _head_charge(members, tx_bs, bits, e_elec, e_da):
+    """Round cost of heads with ``members`` members each.
+
+    Reception per member, ``bits*e_elec`` each; aggregation over
+    ``members + 1`` signals, ``bits*e_da`` each; and the uplink ``tx_bs``.
+    """
+    return members * (bits * e_elec) + bits * e_da * (members + 1.0) + tx_bs
 
 
 def _nearest_dense(mx, my, hx, hy, ids):
@@ -248,9 +257,8 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
                   bits, e_elec, eps_fs, eps_mp, e_da, d0):
     """Steady-state data transfer: charge every alive node once.
 
-    Members transmit to their head over the actual distance; each head is
-    charged reception per member, aggregation over members + 1 signals, and
-    its transmission to the BS, ``tx_bs``; direct nodes pay ``tx_bs``.
+    Members transmit to their head over the actual distance; each head pays
+    ``_head_charge`` and each direct node its uplink, ``tx_bs``.
     Nodes complete the round's action even when it kills them (clamped at
     zero; the shortfall is reported as overdraft).  Returns per-node charge
     and overdraft, the packet counts, and the head ids in ascending order.
@@ -270,9 +278,8 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
         dy2 *= dy2
         d += dy2
         charge[mi] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
-        counts = np.bincount(head, minlength=n)[ch]
-        electronics = bits * e_elec
-        charge[ch] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[ch]
+        members = np.bincount(head, minlength=n)[ch]
+        charge[ch] = _head_charge(members, tx_bs[ch], bits, e_elec, e_da)
         packets_to_ch = mi.size
         packets_to_bs += ch.size
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -62,40 +62,30 @@ def derive_seeds(base_seed: int, count: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A validated experiment matrix: network template x protocols x seeds."""
+    """A validated experiment matrix: network template x protocols x seeds.
 
-    n: int
-    side_m: float
-    bs_position: tuple[float, float] | None
-    max_rounds: int
-    radio: RadioParams
-    het: HeterogeneityParams
-    p_opt: float
-    z: float
-    c: float
-    avg_energy_mode: str
+    ``template`` is the run config of the first protocol and the first seed;
+    every run's config is the template with those two replaced.
+    """
+
+    template: NetworkConfig
     protocols: tuple[Protocol, ...]
     seeds: tuple[int, ...]
     output_dir: Path
     emit: tuple[str, ...]
     jobs: int
 
+    @property
+    def n(self) -> int:
+        return self.template.n
+
+    @property
+    def max_rounds(self) -> int:
+        return self.template.max_rounds
+
     def network_config(self, protocol: Protocol, seed: int) -> NetworkConfig:
-        return NetworkConfig(
-            n=self.n,
-            geometry=FieldGeometry(side_m=self.side_m, bs_position=self.bs_position),
-            radio=self.radio,
-            het=self.het,
-            protocol=ProtocolConfig(
-                kind=protocol,
-                p_opt=self.p_opt,
-                z=self.z,
-                c=self.c,
-                avg_energy_mode=self.avg_energy_mode,
-            ),
-            seed=seed,
-            max_rounds=self.max_rounds,
-        )
+        kind = replace(self.template.protocol, kind=protocol)
+        return replace(self.template, protocol=kind, seed=seed)
 
 
 _KNOWN_KEYS = {
@@ -172,14 +162,16 @@ def _parse_emit(raw: str, label: str) -> tuple[str, ...]:
 
 
 def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> ExperimentSpec:
-    """Parse and validate an experiment spec file.
+    """Parse and validate an experiment spec file, once.
 
     All radio/network parameters default to the ``table1-verbatim`` profile
     and its benchmark scenario; the seed source (``seeds``, or
     ``base_seed`` + ``seed_count``, never both) is mandatory.  ``flags``
-    maps CLI flags of ``FLAG_KEYS`` to values that replace the spec keys
-    they name; ``--profile`` replaces only the ``[radio] profile`` key, so
-    the spec's per-key radio values still apply on top of it.
+    maps CLI flags of ``FLAG_KEYS`` to values (strings, as on the command
+    line) that replace the spec keys they name; ``--profile`` replaces only
+    the ``[radio] profile`` key, so the spec's per-key radio values still
+    apply on top of it.  The network keys are validated by building the
+    spec's template, the ``NetworkConfig`` every run is derived from.
     """
     path = resolve_spec_path(str(path))
     parser = configparser.ConfigParser(interpolation=None)
@@ -217,50 +209,6 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
             return cast(raw)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"{label(section, key)} = {raw!r}: {exc}") from exc
-
-    n = get("network", "nodes", int, 100)
-    side_m = get("network", "field_m", float, 100.0)
-    bs_x = get("network", "bs_x", float, None)
-    bs_y = get("network", "bs_y", float, None)
-    if (bs_x is None) != (bs_y is None):
-        raise SpecError(f"{where}: [network] bs_x and bs_y must be given together")
-    bs_position = (bs_x, bs_y) if bs_x is not None else None
-    max_rounds = get("network", "max_rounds", int, 10000)
-
-    profile = get("radio", "profile", str, "table1-verbatim")
-    if profile not in RADIO_PROFILES:
-        raise SpecError(
-            f"{label('radio', 'profile')} must be one of {', '.join(sorted(RADIO_PROFILES))}"
-        )
-    base_radio = RADIO_PROFILES[profile]
-    try:
-        radio = RadioParams(
-            e_elec=get("radio", "e_elec_j", float, base_radio.e_elec),
-            eps_fs=get("radio", "eps_fs_j", float, base_radio.eps_fs),
-            eps_mp=get("radio", "eps_mp_j", float, base_radio.eps_mp),
-            e_da=get("radio", "e_da_j", float, base_radio.e_da),
-            d0=get("radio", "d0_m", float, base_radio.d0),
-            message_bits=get("radio", "message_bits", int, base_radio.message_bits),
-        )
-        het = HeterogeneityParams(
-            m=get("heterogeneity", "m", float, 0.8),
-            m0=get("heterogeneity", "m0", float, 0.6),
-            a=get("heterogeneity", "a", float, 2.0),
-            b=get("heterogeneity", "b", float, 3.5),
-            e0=get("heterogeneity", "e0_j", float, 0.5),
-        )
-        p_opt = get("protocol", "p_opt", float, 0.1)
-        z = get("protocol", "z", float, 0.7)
-        c = get("protocol", "c", float, 1.0)
-        avg_energy_mode = get("protocol", "avg_energy_mode", str, "estimated")
-        # constructed once here so range violations surface as spec errors
-        ProtocolConfig(
-            kind=Protocol.EDDEEC, p_opt=p_opt, z=z, c=c, avg_energy_mode=avg_energy_mode
-        )
-    except SpecError:
-        raise
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from exc
 
     raw_protocols = get("experiment", "protocols", str, "deec,ddeec,edeec,eddeec")
     protocols = _parse_protocols(raw_protocols, label("experiment", "protocols"))
@@ -300,31 +248,61 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
     if jobs < 1:
         raise SpecError(f"{label('experiment', 'jobs')} must be at least 1")
 
-    try:
-        spec = ExperimentSpec(
-            n=n,
-            side_m=side_m,
-            bs_position=bs_position,
-            max_rounds=max_rounds,
-            radio=radio,
-            het=het,
-            p_opt=p_opt,
-            z=z,
-            c=c,
-            avg_energy_mode=avg_energy_mode,
-            protocols=protocols,
-            seeds=seeds,
-            output_dir=output_dir,
-            emit=emit,
-            jobs=jobs,
+    bs_x = get("network", "bs_x", float, None)
+    bs_y = get("network", "bs_y", float, None)
+    if (bs_x is None) != (bs_y is None):
+        raise SpecError(f"{where}: [network] bs_x and bs_y must be given together")
+    profile = get("radio", "profile", str, "table1-verbatim")
+    if profile not in RADIO_PROFILES:
+        raise SpecError(
+            f"{label('radio', 'profile')} must be one of {', '.join(sorted(RADIO_PROFILES))}"
         )
-        # validates n/max_rounds/quotas once up front
-        spec.network_config(protocols[0], seeds[0])
+    base_radio = RADIO_PROFILES[profile]
+    # the template's constructors check every range, the quotas included
+    try:
+        template = NetworkConfig(
+            n=get("network", "nodes", int, 100),
+            geometry=FieldGeometry(
+                side_m=get("network", "field_m", float, 100.0),
+                bs_position=(bs_x, bs_y) if bs_x is not None else None,
+            ),
+            radio=RadioParams(
+                e_elec=get("radio", "e_elec_j", float, base_radio.e_elec),
+                eps_fs=get("radio", "eps_fs_j", float, base_radio.eps_fs),
+                eps_mp=get("radio", "eps_mp_j", float, base_radio.eps_mp),
+                e_da=get("radio", "e_da_j", float, base_radio.e_da),
+                d0=get("radio", "d0_m", float, base_radio.d0),
+                message_bits=get("radio", "message_bits", int, base_radio.message_bits),
+            ),
+            het=HeterogeneityParams(
+                m=get("heterogeneity", "m", float, 0.8),
+                m0=get("heterogeneity", "m0", float, 0.6),
+                a=get("heterogeneity", "a", float, 2.0),
+                b=get("heterogeneity", "b", float, 3.5),
+                e0=get("heterogeneity", "e0_j", float, 0.5),
+            ),
+            protocol=ProtocolConfig(
+                kind=protocols[0],
+                p_opt=get("protocol", "p_opt", float, 0.1),
+                z=get("protocol", "z", float, 0.7),
+                c=get("protocol", "c", float, 1.0),
+                avg_energy_mode=get("protocol", "avg_energy_mode", str, "estimated"),
+            ),
+            seed=seeds[0],
+            max_rounds=get("network", "max_rounds", int, 10000),
+        )
     except SpecError:
         raise
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    return spec
+    return ExperimentSpec(
+        template=template,
+        protocols=protocols,
+        seeds=seeds,
+        output_dir=output_dir,
+        emit=emit,
+        jobs=jobs,
+    )
 
 
 def _summary_lines(summaries: list[BatchSummary]) -> list[str]:
@@ -451,9 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("spec", help="spec file path or bundled preset name")
     run_p.add_argument("--output-dir", help="override the spec's output directory")
     run_p.add_argument(
-        "--seed-count",
-        type=int,
-        help="derive this many seeds from the spec's base_seed",
+        "--seed-count", help="derive this many seeds from the spec's base_seed"
     )
     run_p.add_argument(
         "--protocols",
@@ -461,27 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument(
         "--profile",
-        choices=sorted(RADIO_PROFILES),
-        help="radio profile to use in place of the spec's; the spec's per-key "
-        "radio values still apply",
+        help=f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
+        "of the spec's; the spec's per-key radio values still apply",
     )
     run_p.add_argument(
         "--emit",
         help=f"comma-separated subset of {','.join(EMIT_CHOICES)}",
     )
-    run_p.add_argument(
-        "--jobs", type=int, help="worker threads for independent (protocol, seed) runs"
-    )
+    run_p.add_argument("--jobs", help="worker threads for independent (protocol, seed) runs")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
-    flags = {}
-    for flag in FLAG_KEYS:
-        value = args[flag[2:].replace("-", "_")]
-        if value is not None:
-            flags[flag] = str(value)
+    values = {flag: args[flag[2:].replace("-", "_")] for flag in FLAG_KEYS}
+    flags = {flag: value for flag, value in values.items() if value is not None}
     try:
         spec = load_spec(args["spec"], flags)
     except SpecError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import ASSIGN_DIRECT_BS, Backend, _transmit, get_backend
+from ._kernels import Backend, _transmit, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
@@ -67,15 +67,6 @@ class RoundOutcome:
     total_residual_after: float
     charged_j: float
     overdraft_j: float
-
-    @property
-    def cluster_assignment(self) -> dict[int, int]:
-        """Alive non-head node id -> head id (or ``ASSIGN_DIRECT_BS``)."""
-        codes = self.assignment_codes
-        return {
-            int(i): int(codes[i])
-            for i in np.flatnonzero((codes >= 0) | (codes == ASSIGN_DIRECT_BS))
-        }
 
 
 class Simulation:

@@ -101,10 +101,10 @@ def test_criterion_2_lifetime_margins(batch, spec):
     )
     # reproduction-profile record: the verbatim table constants cannot reach
     # the published lifetime magnitudes, the pJ convention can
-    assert spec.radio.eps_fs == 10e-12, "bundled scenario must use leach-standard"
+    assert spec.template.radio.eps_fs == 10e-12, "bundled scenario must use leach-standard"
     verbatim = [
-        summarize(run(replace(spec, radio=__import__("deecsim").RADIO_PROFILES["table1-verbatim"])
-                      .network_config(Protocol.EDDEEC, seed)))
+        summarize(run(replace(spec.network_config(Protocol.EDDEEC, seed),
+                              radio=__import__("deecsim").RADIO_PROFILES["table1-verbatim"])))
         for seed in spec.seeds[:4]
     ]
     verbatim_all_dead = float(np.mean([s.all_dead for s in verbatim]))
@@ -148,16 +148,17 @@ def probabilities(e, pw, avg, het, cfg):
 
 def test_criterion_4_reduction_identity(spec):
     rng = np.random.default_rng(20130228)
-    eddeec = ProtocolConfig(kind=Protocol.EDDEEC, p_opt=spec.p_opt, z=0.0, c=spec.c)
-    edeec = ProtocolConfig(kind=Protocol.EDEEC, p_opt=spec.p_opt)
+    het = spec.template.het
+    eddeec = replace(spec.template.protocol, kind=Protocol.EDDEEC, z=0.0)
+    edeec = ProtocolConfig(kind=Protocol.EDEEC, p_opt=spec.template.protocol.p_opt)
     node_class, e, avg = np.zeros(1000, dtype=np.int64), np.zeros(1000), np.zeros(1000)
     for i in range(1000):
         node_class[i] = rng.integers(0, 3)
         e[i] = rng.uniform(1e-9, 2.25)
         avg[i] = rng.uniform(1e-6, 3.0)
     p = {
-        cfg.kind: probabilities(e, election_constants(cfg, spec.het)[0][node_class],
-                                avg, spec.het, cfg)
+        cfg.kind: probabilities(e, election_constants(cfg, het)[0][node_class],
+                                avg, het, cfg)
         for cfg in (eddeec, edeec)
     }
     mismatches = int(np.count_nonzero(p[Protocol.EDDEEC] != p[Protocol.EDEEC]))
@@ -167,16 +168,17 @@ def test_criterion_4_reduction_identity(spec):
 
 def test_criterion_5_sub_threshold_equality(spec):
     rng = np.random.default_rng(5)
-    threshold = absolute_threshold(spec.z, spec.het.e0)
+    het = spec.template.het
+    cfg = replace(spec.template.protocol, kind=Protocol.EDDEEC)
+    threshold = absolute_threshold(cfg.z, het.e0)
     assert threshold == 0.35
-    cfg = ProtocolConfig(kind=Protocol.EDDEEC, p_opt=spec.p_opt, z=spec.z, c=spec.c)
     e, avg = np.zeros((1000, 1)), np.zeros((1000, 1))
     for i in range(1000):
         e[i] = rng.uniform(1e-9, threshold)
         avg[i] = rng.uniform(1e-6, 3.0)
     # one column per class: normal, advanced, super
-    pw_by_class = election_constants(cfg, spec.het)[0]
-    p = probabilities(np.repeat(e, 3, axis=1), pw_by_class, avg, spec.het, cfg)
+    pw_by_class = election_constants(cfg, het)[0]
+    p = probabilities(np.repeat(e, 3, axis=1), pw_by_class, avg, het, cfg)
     mismatches = int(np.count_nonzero((p != p[:, :1]).any(axis=1)))
     report(5, "sub-threshold election probability is class-blind",
            mismatches == 0, f"{mismatches}/1000 mismatches (tolerance 0)")
@@ -255,7 +257,7 @@ def test_criterion_8_closed_forms():
     checks = {
         "absolute threshold 0.7*0.5": absolute_threshold(0.7, 0.5) == 0.35,
         "expected BS distance": expected_distances(100.0, 1)[1] == 38.25,
-        "nominal total energy": load_spec("paper-sec3").het.total_energy(100) == 214.0,
+        "nominal total energy": load_spec("paper-sec3").template.het.total_energy(100) == 214.0,
         "saturated threshold": abs(_rotation(np.array([0.1]), 9)[1][0] - 1.0) <= 1e-12,
     }
     failed = [name for name, ok in checks.items() if not ok]

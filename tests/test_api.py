@@ -1,10 +1,12 @@
-"""The documented API: the README's library example runs, and every name
-the package exports resolves."""
+"""The documented API: the README's library example runs, its spec example
+loads, and every name the package exports resolves."""
 
 import re
 from pathlib import Path
 
 import deecsim
+from deecsim import Protocol
+from deecsim.cli import load_spec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +18,21 @@ def test_readme_library_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], f"{README}:Library use", "exec"), {})
     assert "LifetimeSummary(" in capsys.readouterr().out
+
+
+def test_readme_spec_example_loads(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Spec files\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```ini\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "example.cfg"
+    path.write_text(blocks[0], encoding="utf-8")
+    spec = load_spec(path)
+    assert spec.n == 100 and spec.max_rounds == 10000
+    assert spec.template.geometry.bs_position == (50.0, 50.0)
+    assert spec.template.protocol.c == 0.1
+    assert spec.protocols == tuple(Protocol)
+    assert len(spec.seeds) == 20
 
 
 def test_every_exported_name_resolves():

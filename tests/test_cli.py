@@ -73,15 +73,16 @@ class TestDeriveSeeds:
 class TestLoadSpec:
     def test_bundled_preset_values(self):
         spec = load_spec("paper-sec3")
+        net = spec.template
         assert spec.n == 100
-        assert spec.side_m == 100.0
-        assert spec.het.e0 == 0.5
-        assert spec.radio.message_bits == 4000
-        assert spec.p_opt == 0.1
-        assert spec.het.m == 0.8 and spec.het.m0 == 0.6
-        assert spec.het.a == 2.0 and spec.het.b == 3.5
-        assert spec.z == 0.7
-        assert spec.radio.eps_fs == 10e-12  # leach-standard reproduction default
+        assert net.geometry.side_m == 100.0
+        assert net.het.e0 == 0.5
+        assert net.radio.message_bits == 4000
+        assert net.protocol.p_opt == 0.1
+        assert net.het.m == 0.8 and net.het.m0 == 0.6
+        assert net.het.a == 2.0 and net.het.b == 3.5
+        assert net.protocol.z == 0.7
+        assert net.radio.eps_fs == 10e-12  # leach-standard reproduction default
         assert spec.protocols == (Protocol.DEEC, Protocol.DDEEC, Protocol.EDEEC, Protocol.EDDEEC)
         assert len(spec.seeds) == 20
 
@@ -89,9 +90,9 @@ class TestLoadSpec:
         path = tmp_path / "bare.cfg"
         path.write_text("[experiment]\nbase_seed = 1\nseed_count = 1\n")
         spec = load_spec(path)
-        assert spec.radio.eps_fs == 10e-9
-        assert spec.radio.e_elec == 50e-9
-        assert spec.radio.d0 == 70.0
+        assert spec.template.radio.eps_fs == 10e-9
+        assert spec.template.radio.e_elec == 50e-9
+        assert spec.template.radio.d0 == 70.0
         assert spec.n == 100 and spec.max_rounds == 10000
 
     def test_missing_seeds_rejected(self, tmp_path):
@@ -312,7 +313,7 @@ class TestMain:
     def test_profile_override(self, tmp_path):
         out_leach, out_verbatim = tmp_path / "leach", tmp_path / "verbatim"
         path = write_tiny_spec(tmp_path, out_leach)
-        assert load_spec(path).radio.eps_fs == 10e-12
+        assert load_spec(path).template.radio.eps_fs == 10e-12
         assert main(["run", str(path), "--emit", "csv"]) == EXIT_OK
         assert main(
             ["run", str(path), "--profile", "table1-verbatim",
@@ -335,10 +336,10 @@ class TestMain:
         resolved = []
         monkeypatch.setattr(cli, "run_experiment", lambda spec: resolved.append(spec) or EXIT_OK)
         assert main(["run", str(path), "--profile", "leach-standard"]) == EXIT_OK
-        radio = resolved[0].radio
+        radio = resolved[0].template.radio
         assert radio.eps_fs == RADIO_PROFILES["leach-standard"].eps_fs
         assert radio.message_bits == 2000
-        assert load_spec(path).radio.eps_fs == RADIO_PROFILES["table1-verbatim"].eps_fs
+        assert load_spec(path).template.radio.eps_fs == RADIO_PROFILES["table1-verbatim"].eps_fs
 
     def test_output_dir_override(self, tmp_path):
         override = tmp_path / "elsewhere"
@@ -374,6 +375,31 @@ def _artifacts(argv, out):
     return code, files
 
 
+def _keyed_and_flagged(tmp, section, key, value):
+    """Two spec files in ``tmp``: a capped tiny spec (20 nodes, 40 rounds)
+    writing into ``tmp/results``, and a copy with ``key = value`` set."""
+    spec = TINY_SPEC.replace("max_rounds = 150", "max_rounds = 40")
+    spec += f"output_dir = {tmp / 'results'}\n"
+    flagged = tmp / "flagged.cfg"
+    flagged.write_text(spec)
+    keyed = tmp / "keyed.cfg"
+    lines = [line for line in spec.splitlines() if not line.startswith(f"{key} =")]
+    at = lines.index(f"[{section}]") + 1
+    keyed.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
+    return keyed, flagged
+
+
+# One value per flag that its spec key rejects.  --output-dir has none: any
+# path is a valid key, and an unwritable one is an I/O failure (exit 2).
+INVALID_FLAG_VALUES = {
+    "--seed-count": "0",
+    "--protocols": "leach",
+    "--emit": "csv,bogus",
+    "--jobs": "x",
+    "--profile": "cooja",
+}
+
+
 class TestFlagsAreSpecKeys:
     """A flag set to v writes the same artifact bytes as its spec key set to v."""
 
@@ -389,18 +415,23 @@ class TestFlagsAreSpecKeys:
             if flag == "--output-dir":
                 value = str(tmp / value)
                 out = Path(value)
-            # a capped tiny spec: 20 nodes, 40 rounds
-            spec = TINY_SPEC.replace("max_rounds = 150", "max_rounds = 40")
-            spec += f"output_dir = {tmp / 'results'}\n"
-            flagged = tmp / "flagged.cfg"
-            flagged.write_text(spec)
-            keyed = tmp / "keyed.cfg"
-            lines = [line for line in spec.splitlines() if not line.startswith(f"{key} =")]
-            at = lines.index(f"[{section}]") + 1
-            keyed.write_text("\n".join(lines[:at] + [f"{key} = {value}"] + lines[at:]) + "\n")
-
+            keyed, flagged = _keyed_and_flagged(tmp, section, key, value)
             by_key = _artifacts(["run", str(keyed)], out)
             by_flag = _artifacts(["run", str(flagged), flag, value], out)
         assert by_key[0] == EXIT_OK
         assert by_key[1]
         assert by_flag == by_key
+
+    @pytest.mark.parametrize("flag, value", sorted(INVALID_FLAG_VALUES.items()))
+    def test_invalid_flag_fails_as_key(self, flag, value, tmp_path, capsys):
+        # checked once, by load_spec: the key's exit code, no artifacts, and
+        # the error names the flag
+        section, key = cli.FLAG_KEYS[flag]
+        keyed, flagged = _keyed_and_flagged(tmp_path, section, key, value)
+        out = tmp_path / "results"
+        assert _artifacts(["run", str(keyed)], out) == (EXIT_VALIDATION, None)
+        key_err = capsys.readouterr().err
+        assert _artifacts(["run", str(flagged), flag, value], out) == (EXIT_VALIDATION, None)
+        flag_err = capsys.readouterr().err
+        assert flag_err.startswith(f"error: {flag}")
+        assert f"[{section}] {key}" in key_err
