@@ -13,9 +13,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 from .engine import NetworkConfig, run
 from .metrics import (
@@ -88,40 +91,114 @@ class ExperimentSpec:
         return replace(self.template, protocol=kind, seed=seed)
 
 
-_KNOWN_KEYS = {
-    "network": {"nodes", "field_m", "bs_x", "bs_y", "max_rounds"},
-    "radio": {
-        "profile",
-        "e_elec_j",
-        "eps_fs_j",
-        "eps_mp_j",
-        "e_da_j",
-        "d0_m",
-        "message_bits",
+class _Key(NamedTuple):
+    cast: Callable[[str], Any]  # parses the value, or each list item
+    part: str | None = None
+    field: str | None = None  # None: the key's own name
+    noun: str | None = None  # the items of a comma list
+    default: Any = None
+
+
+def _emit_kind(token: str) -> str:
+    kind = token.lower()
+    if kind not in EMIT_CHOICES:
+        raise ValueError(f"unknown kind(s) {kind}")
+    return kind
+
+
+def _profile(name: str) -> RadioParams:
+    if name not in RADIO_PROFILES:
+        raise ValueError(f"must be one of {', '.join(sorted(RADIO_PROFILES))}")
+    return RADIO_PROFILES[name]
+
+
+def _count(raw: str) -> int:
+    count = int(raw)
+    if count < 1:
+        raise ValueError("must be at least 1")
+    return count
+
+
+# What an omitted network key takes: the table1-verbatim radio and the
+# benchmark scenario's field and population; the protocol and the round cap
+# keep their own classes' defaults.  Kind and seed come from the experiment.
+_DEFAULT = NetworkConfig(
+    n=100,
+    geometry=FieldGeometry(side_m=100.0),
+    radio=RADIO_PROFILES["table1-verbatim"],
+    het=HeterogeneityParams(m=0.8, m0=0.6, a=2.0, b=3.5, e0=0.5),
+    protocol=ProtocolConfig(kind=Protocol.DEEC),
+    seed=0,
+)
+
+# Every spec key, once, by section.  A key with a part sets that part's
+# field: "network" is the template itself, "radio", "het" and "protocol" its
+# parts, and "derive" the arguments of derive_seeds.  load_spec reads the
+# other keys by name; each takes its default when the spec omits it.
+SPEC_KEYS: dict[str, dict[str, _Key]] = {
+    "network": {
+        "nodes": _Key(int, "network", "n"),
+        "field_m": _Key(float, default=_DEFAULT.geometry.side_m),
+        "bs_x": _Key(float),
+        "bs_y": _Key(float),
+        "max_rounds": _Key(int, "network"),
     },
-    "heterogeneity": {"m", "m0", "a", "b", "e0_j"},
-    "protocol": {"p_opt", "z", "c", "avg_energy_mode"},
+    "radio": {
+        # the named profile's values, replaced by the radio keys given
+        "profile": _Key(_profile, default=_DEFAULT.radio),
+        "e_elec_j": _Key(float, "radio", "e_elec"),
+        "eps_fs_j": _Key(float, "radio", "eps_fs"),
+        "eps_mp_j": _Key(float, "radio", "eps_mp"),
+        "e_da_j": _Key(float, "radio", "e_da"),
+        "d0_m": _Key(float, "radio", "d0"),
+        "message_bits": _Key(int, "radio"),
+    },
+    "heterogeneity": {
+        "m": _Key(float, "het"),
+        "m0": _Key(float, "het"),
+        "a": _Key(float, "het"),
+        "b": _Key(float, "het"),
+        "e0_j": _Key(float, "het", "e0"),
+    },
+    "protocol": {
+        "p_opt": _Key(float, "protocol"),
+        "z": _Key(float, "protocol"),
+        "c": _Key(float, "protocol"),
+        "avg_energy_mode": _Key(str, "protocol"),
+    },
     "experiment": {
-        "protocols",
-        "seeds",
-        "base_seed",
-        "seed_count",
-        "output_dir",
-        "emit",
-        "jobs",
+        "protocols": _Key(lambda token: Protocol(token.lower()), noun="protocol",
+                          default=tuple(Protocol)),
+        "seeds": _Key(int, noun="seed"),
+        "base_seed": _Key(int, "derive"),
+        "seed_count": _Key(_count, "derive", "count"),
+        "output_dir": _Key(Path, default=Path("results")),
+        "emit": _Key(_emit_kind, noun="kind", default=EMIT_CHOICES),
+        "jobs": _Key(_count, default=1),
     },
 }
 
+# Every CLI flag with its help, in --help order.  A flag sets the spec key
+# it is named after (--seed-count sets seed_count), which is also the
+# argparse destination of its value.  The value replaces the key's on the
+# parsed spec before validation, and errors about the key name the flag.
+_FLAG_HELP = {
+    "--output-dir": "override the spec's output directory",
+    "--seed-count": "derive this many seeds from the spec's base_seed",
+    "--protocols": "comma-separated subset of deec,ddeec,edeec,eddeec",
+    "--profile": f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
+    "of the spec's; the spec's per-key radio values still apply",
+    "--emit": f"comma-separated subset of {','.join(EMIT_CHOICES)}",
+    "--jobs": "worker threads for independent (protocol, seed) runs",
+}
 
-# The CLI flags that set spec keys.  A flag's value replaces the key's on
-# the parsed spec before validation, and errors about the key name the flag.
-FLAG_KEYS = {
-    "--output-dir": ("experiment", "output_dir"),
-    "--seed-count": ("experiment", "seed_count"),
-    "--protocols": ("experiment", "protocols"),
-    "--emit": ("experiment", "emit"),
-    "--jobs": ("experiment", "jobs"),
-    "--profile": ("radio", "profile"),
+# flag -> (section, key, help)
+FLAGS = {
+    flag: (section, key, help)
+    for flag, help in _FLAG_HELP.items()
+    for section, keys in SPEC_KEYS.items()
+    for key in keys
+    if key == flag[2:].replace("-", "_")
 }
 
 
@@ -137,41 +214,39 @@ def resolve_spec_path(spec: str) -> Path:
     raise SpecError(f"spec file not found: {spec}")
 
 
-def _parse_protocols(raw: str, label: str) -> tuple[Protocol, ...]:
-    """Parse a comma-separated protocol list; ``label`` prefixes errors."""
+def _parse_list(raw: str, label: str, item: Callable[[str], Any], noun: str) -> tuple:
+    """Parse a comma-separated list of ``item(token)`` values, at least one
+    and none repeated; ``label`` prefixes errors."""
     try:
-        protocols = tuple(
-            Protocol(token.strip().lower()) for token in raw.split(",") if token.strip()
-        )
+        items = tuple(item(token.strip()) for token in raw.split(",") if token.strip())
     except ValueError as exc:
         raise SpecError(f"{label}: {exc}") from exc
-    if not protocols:
-        raise SpecError(f"{label} must name at least one protocol")
-    if len(set(protocols)) != len(protocols):
-        raise SpecError(f"{label} lists a protocol twice")
-    return protocols
+    if not items:
+        raise SpecError(f"{label} must name at least one {noun}")
+    if len(set(items)) != len(items):
+        raise SpecError(f"{label} lists a {noun} twice")
+    return items
 
 
-def _parse_emit(raw: str, label: str) -> tuple[str, ...]:
-    """Parse a comma-separated artifact list; ``label`` prefixes errors."""
-    emit = tuple(tok.strip().lower() for tok in raw.split(",") if tok.strip())
-    unknown = set(emit) - set(EMIT_CHOICES)
-    if unknown:
-        raise SpecError(f"{label}: unknown kind(s) {', '.join(sorted(unknown))}")
-    return emit
+def _parse(raw: str, label: str, key: _Key) -> Any:
+    if key.noun is not None:
+        return _parse_list(raw, label, key.cast, key.noun)
+    try:
+        return key.cast(raw)
+    except (ValueError, TypeError) as exc:
+        raise SpecError(f"{label} = {raw!r}: {exc}") from exc
 
 
 def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> ExperimentSpec:
-    """Parse and validate an experiment spec file, once.
+    """Parse and validate an experiment spec file, once, as ``SPEC_KEYS`` says.
 
-    All radio/network parameters default to the ``table1-verbatim`` profile
-    and its benchmark scenario; the seed source (``seeds``, or
-    ``base_seed`` + ``seed_count``, never both) is mandatory.  ``flags``
-    maps CLI flags of ``FLAG_KEYS`` to values (strings, as on the command
-    line) that replace the spec keys they name; ``--profile`` replaces only
-    the ``[radio] profile`` key, so the spec's per-key radio values still
-    apply on top of it.  The network keys are validated by building the
-    spec's template, the ``NetworkConfig`` every run is derived from.
+    The seed source (``seeds``, or ``base_seed`` + ``seed_count``, never
+    both) is mandatory.  ``flags`` maps CLI flags of ``FLAGS`` to values
+    (strings, as on the command line) that replace the spec keys they name;
+    ``--profile`` replaces only the ``[radio] profile`` key, so the spec's
+    per-key radio values still apply on top of it.  The network keys are
+    validated by building the spec's template, the ``NetworkConfig`` every
+    run is derived from.
     """
     path = resolve_spec_path(str(path))
     parser = configparser.ConfigParser(interpolation=None)
@@ -182,132 +257,74 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
         raise SpecError(f"{path}: {exc}") from exc
     flag_of = {}
     for flag, value in (flags or {}).items():
-        section, key = FLAG_KEYS[flag]
+        section, key, _ = FLAGS[flag]
         if not parser.has_section(section):
             parser.add_section(section)
         parser.set(section, key, value)
-        flag_of[section, key] = flag
+        flag_of[key] = flag
 
     where = str(path)
     for section in parser.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in SPEC_KEYS:
             raise SpecError(f"{where}: unknown section [{section}]")
-        unknown = set(parser.options(section)) - _KNOWN_KEYS[section]
+        unknown = set(parser.options(section)) - set(SPEC_KEYS[section])
         if unknown:
             raise SpecError(
                 f"{where}: unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
 
-    def label(section, key):
-        return flag_of.get((section, key), f"{where}: [{section}] {key}")
+    given = {}  # key -> parsed value, for the keys the spec gives
+    parts = defaultdict(dict)  # part -> field -> value
+    for section, keys in SPEC_KEYS.items():
+        for key, how in keys.items():
+            if parser.has_option(section, key):
+                label = flag_of.get(key, f"{where}: [{section}] {key}")
+                given[key] = _parse(parser.get(section, key), label, how)
+                if how.part is not None:
+                    parts[how.part][how.field or key] = given[key]
+    # the keys read by name: each one's value, or its default
+    got = SimpleNamespace(**{key: given.get(key, how.default) for keys in SPEC_KEYS.values()
+                             for key, how in keys.items() if how.part is None})
 
-    def get(section, key, cast, default):
-        if not parser.has_option(section, key):
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{label(section, key)} = {raw!r}: {exc}") from exc
-
-    raw_protocols = get("experiment", "protocols", str, "deec,ddeec,edeec,eddeec")
-    protocols = _parse_protocols(raw_protocols, label("experiment", "protocols"))
-
-    base_seed = get("experiment", "base_seed", int, None)
-    seed_count = get("experiment", "seed_count", int, None)
-    raw_seeds = get("experiment", "seeds", str, None)
-    if raw_seeds is not None:
-        try:
-            seeds = tuple(int(tok.strip()) for tok in raw_seeds.split(",") if tok.strip())
-        except ValueError as exc:
-            raise SpecError(f"{where}: [experiment] seeds: {exc}") from exc
-        if not seeds:
-            raise SpecError(f"{where}: [experiment] seeds is empty")
-        if len(set(seeds)) != len(seeds):
-            raise SpecError(f"{where}: [experiment] seeds lists a seed twice")
-        also = [flag_of.get(("experiment", key), key)
-                for key in ("base_seed", "seed_count") if parser.has_option("experiment", key)]
+    if got.seeds is not None:
+        seeds = got.seeds
+        also = [flag_of.get(key, key) for key, how in SPEC_KEYS["experiment"].items()
+                if how.part == "derive" and key in given]
         if also:
             raise SpecError(
                 f"{where}: [experiment] seeds excludes base_seed and seed_count, "
                 f"but {' and '.join(also)} is also given"
             )
-    elif base_seed is not None and seed_count is not None:
-        if seed_count < 1:
-            raise SpecError(f"{label('experiment', 'seed_count')} must be at least 1")
-        seeds = derive_seeds(base_seed, seed_count)
+    elif len(parts["derive"]) == 2:
+        seeds = derive_seeds(**parts["derive"])
     else:
         raise SpecError(
             f"{where}: [experiment] must give either seeds or base_seed + seed_count"
         )
 
-    output_dir = Path(get("experiment", "output_dir", str, "results"))
-    raw_emit = get("experiment", "emit", str, "csv,svg,summary")
-    emit = _parse_emit(raw_emit, label("experiment", "emit"))
-    jobs = get("experiment", "jobs", int, 1)
-    if jobs < 1:
-        raise SpecError(f"{label('experiment', 'jobs')} must be at least 1")
-
-    bs_x = get("network", "bs_x", float, None)
-    bs_y = get("network", "bs_y", float, None)
-    if (bs_x is None) != (bs_y is None):
+    if (got.bs_x is None) != (got.bs_y is None):
         raise SpecError(f"{where}: [network] bs_x and bs_y must be given together")
-    profile = get("radio", "profile", str, "table1-verbatim")
-    if profile not in RADIO_PROFILES:
-        raise SpecError(
-            f"{label('radio', 'profile')} must be one of {', '.join(sorted(RADIO_PROFILES))}"
-        )
-    base_radio = RADIO_PROFILES[profile]
-    # the template's constructors check every range, the quotas included
+    bs = None if got.bs_x is None else (got.bs_x, got.bs_y)
+    # each constructor checks its ranges once, the template the quotas
     try:
-        template = NetworkConfig(
-            n=get("network", "nodes", int, 100),
-            geometry=FieldGeometry(
-                side_m=get("network", "field_m", float, 100.0),
-                bs_position=(bs_x, bs_y) if bs_x is not None else None,
-            ),
-            radio=RadioParams(
-                e_elec=get("radio", "e_elec_j", float, base_radio.e_elec),
-                eps_fs=get("radio", "eps_fs_j", float, base_radio.eps_fs),
-                eps_mp=get("radio", "eps_mp_j", float, base_radio.eps_mp),
-                e_da=get("radio", "e_da_j", float, base_radio.e_da),
-                d0=get("radio", "d0_m", float, base_radio.d0),
-                message_bits=get("radio", "message_bits", int, base_radio.message_bits),
-            ),
-            het=HeterogeneityParams(
-                m=get("heterogeneity", "m", float, 0.8),
-                m0=get("heterogeneity", "m0", float, 0.6),
-                a=get("heterogeneity", "a", float, 2.0),
-                b=get("heterogeneity", "b", float, 3.5),
-                e0=get("heterogeneity", "e0_j", float, 0.5),
-            ),
-            protocol=ProtocolConfig(
-                kind=protocols[0],
-                p_opt=get("protocol", "p_opt", float, 0.1),
-                z=get("protocol", "z", float, 0.7),
-                c=get("protocol", "c", float, 1.0),
-                avg_energy_mode=get("protocol", "avg_energy_mode", str, "estimated"),
-            ),
+        template = replace(
+            _DEFAULT,
+            geometry=FieldGeometry(got.field_m, bs),
+            radio=replace(got.profile, **parts["radio"]),
+            het=replace(_DEFAULT.het, **parts["het"]),
+            protocol=replace(_DEFAULT.protocol, kind=got.protocols[0], **parts["protocol"]),
             seed=seeds[0],
-            max_rounds=get("network", "max_rounds", int, 10000),
+            **parts["network"],
         )
-    except SpecError:
-        raise
     except ValueError as exc:
         raise SpecError(f"{where}: {exc}") from exc
-    return ExperimentSpec(
-        template=template,
-        protocols=protocols,
-        seeds=seeds,
-        output_dir=output_dir,
-        emit=emit,
-        jobs=jobs,
-    )
+    return ExperimentSpec(template=template, protocols=got.protocols, seeds=seeds,
+                          output_dir=got.output_dir, emit=got.emit, jobs=got.jobs)
 
 
 def _summary_lines(summaries: list[BatchSummary]) -> list[str]:
     header = (
-        f"{'protocol':<9} {'seeds':>5} {'first_dead':>16} {'half_dead':>16} "
+        f"{'protocol':<9} seeds {'first_dead':>16} {'half_dead':>16} "
         f"{'all_dead':>16} {'packets_bs':>18}"
     )
     lines = [header, "-" * len(header)]
@@ -427,31 +444,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an experiment spec (a file path or the bundled 'paper-sec3')",
     )
     run_p.add_argument("spec", help="spec file path or bundled preset name")
-    run_p.add_argument("--output-dir", help="override the spec's output directory")
-    run_p.add_argument(
-        "--seed-count", help="derive this many seeds from the spec's base_seed"
-    )
-    run_p.add_argument(
-        "--protocols",
-        help="comma-separated subset of deec,ddeec,edeec,eddeec",
-    )
-    run_p.add_argument(
-        "--profile",
-        help=f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
-        "of the spec's; the spec's per-key radio values still apply",
-    )
-    run_p.add_argument(
-        "--emit",
-        help=f"comma-separated subset of {','.join(EMIT_CHOICES)}",
-    )
-    run_p.add_argument("--jobs", help="worker threads for independent (protocol, seed) runs")
+    for flag, (_, _, help) in FLAGS.items():
+        run_p.add_argument(flag, help=help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = vars(build_parser().parse_args(argv))
-    values = {flag: args[flag[2:].replace("-", "_")] for flag in FLAG_KEYS}
-    flags = {flag: value for flag, value in values.items() if value is not None}
+    flags = {flag: args[key] for flag, (_, key, _) in FLAGS.items() if args[key] is not None}
     try:
         spec = load_spec(args["spec"], flags)
     except SpecError as exc:

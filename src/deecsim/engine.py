@@ -109,10 +109,7 @@ class Simulation:
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
             n, config.geometry, config.radio, config.het
         )
-        # the estimate's per-run terms; average_energy applies its expression
         self._estimated = config.protocol.avg_energy_mode == "estimated"
-        self._energy_per_node = self.estimate.e_total / self.estimate.n
-        self._r_lifetime = self.estimate.r_lifetime
 
         # Run constants: the kernels see only what changes from round to round.
         pw_by_class, self._t_low, self._pw_low = proto.election_constants(
@@ -134,9 +131,7 @@ class Simulation:
     def average_energy(self) -> float:
         """Average-energy reference for the current round, per config mode."""
         if self._estimated:
-            # estimate_average_energy's expression and floor
-            return max(self._energy_per_node * (1.0 - self.round / self._r_lifetime),
-                       AVG_ENERGY_FLOOR_J)
+            return self.estimate.avg_energy_at(self.round)
         count = self.alive_count()
         if count == 0:
             return AVG_ENERGY_FLOOR_J

@@ -22,6 +22,7 @@ from _golden import GOLDEN, digest
 
 from deecsim import (
     P_MAX,
+    RADIO_PROFILES,
     Protocol,
     ProtocolConfig,
     Simulation,
@@ -36,7 +37,6 @@ from deecsim import (
 )
 from deecsim._kernels import _elect_numpy, _probability, _rotation
 from deecsim.cli import load_spec, run_experiment
-from deecsim.metrics import BatchSummary
 from deecsim.protocols import election_constants
 
 
@@ -104,7 +104,7 @@ def test_criterion_2_lifetime_margins(batch, spec):
     assert spec.template.radio.eps_fs == 10e-12, "bundled scenario must use leach-standard"
     verbatim = [
         summarize(run(replace(spec.network_config(Protocol.EDDEEC, seed),
-                              radio=__import__("deecsim").RADIO_PROFILES["table1-verbatim"])))
+                              radio=RADIO_PROFILES["table1-verbatim"])))
         for seed in spec.seeds[:4]
     ]
     verbatim_all_dead = float(np.mean([s.all_dead for s in verbatim]))

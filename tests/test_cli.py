@@ -287,16 +287,19 @@ class TestMain:
         names = sorted(p.name for p in out.iterdir())
         assert names == ["series_deec.csv", "series_eddeec.csv"]
 
-    @pytest.mark.parametrize("spec_emit, flags", [
-        ("csv,bogus", []),
-        ("csv,svg,summary", ["--emit", "csv,bogus"]),
-    ], ids=["spec", "flag"])
-    def test_unknown_emit_kind(self, tmp_path, capsys, spec_emit, flags):
+    @pytest.mark.parametrize("spec_emit, flags, error", [
+        ("csv,bogus", [], "emit: unknown kind(s) bogus"),
+        ("csv,svg,summary", ["--emit", "csv,bogus"], "emit: unknown kind(s) bogus"),
+        ("", [], "[experiment] emit must name at least one kind"),
+        ("csv,svg,summary", ["--emit", ","], "--emit must name at least one kind"),
+        ("csv,svg,CSV", [], "[experiment] emit lists a kind twice"),
+    ], ids=["spec", "flag", "empty-spec", "empty-flag", "repeated-spec"])
+    def test_unknown_emit_kind(self, tmp_path, capsys, spec_emit, flags, error):
         out = tmp_path / "r"
         path = write_tiny_spec(tmp_path, out)
         path.write_text(path.read_text().replace("emit = csv,svg,summary", f"emit = {spec_emit}"))
         assert main(["run", str(path), *flags]) == EXIT_VALIDATION
-        assert "emit: unknown kind(s) bogus" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_count_override_prefix(self, tmp_path):
@@ -408,7 +411,7 @@ class TestFlagsAreSpecKeys:
     @settings(max_examples=4, deadline=None)
     def test_flag_equals_key(self, flag, data):
         value = str(data.draw(FLAG_VALUES[flag]))
-        section, key = cli.FLAG_KEYS[flag]
+        section, key, _ = cli.FLAGS[flag]
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             out = tmp / "results"
@@ -426,7 +429,7 @@ class TestFlagsAreSpecKeys:
     def test_invalid_flag_fails_as_key(self, flag, value, tmp_path, capsys):
         # checked once, by load_spec: the key's exit code, no artifacts, and
         # the error names the flag
-        section, key = cli.FLAG_KEYS[flag]
+        section, key, _ = cli.FLAGS[flag]
         keyed, flagged = _keyed_and_flagged(tmp_path, section, key, value)
         out = tmp_path / "results"
         assert _artifacts(["run", str(keyed)], out) == (EXIT_VALIDATION, None)
