@@ -12,21 +12,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
 
 from .engine import NetworkConfig, run
-from .metrics import (
-    BatchSummary,
-    SimResult,
-    emit_plot_svg,
-    emit_series_csv,
-)
+from .metrics import (PLOT_KINDS, BatchSummary, emit_plot_svg, emit_series_csv,
+                      summary_csv_lines, summary_lines, write_lines)
 from .model import RADIO_PROFILES, FieldGeometry, RadioParams
 from .protocols import HeterogeneityParams, Protocol, ProtocolConfig
 
@@ -112,11 +111,13 @@ def _profile(name: str) -> RadioParams:
     return RADIO_PROFILES[name]
 
 
-def _count(raw: str) -> int:
-    count = int(raw)
-    if count < 1:
-        raise ValueError("must be at least 1")
-    return count
+def _at_least(low: int) -> Callable[[str], int]:
+    def cast(raw: str) -> int:
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"must be at least {low}, not {value}")
+        return value
+    return cast
 
 
 # What an omitted network key takes: the table1-verbatim radio and the
@@ -169,12 +170,12 @@ SPEC_KEYS: dict[str, dict[str, _Key]] = {
     "experiment": {
         "protocols": _Key(lambda token: Protocol(token.lower()), noun="protocol",
                           default=tuple(Protocol)),
-        "seeds": _Key(int, noun="seed"),
+        "seeds": _Key(_at_least(0), noun="seed"),
         "base_seed": _Key(int, "derive"),
-        "seed_count": _Key(_count, "derive", "count"),
+        "seed_count": _Key(_at_least(1), "derive", "count"),
         "output_dir": _Key(Path, default=Path("results")),
         "emit": _Key(_emit_kind, noun="kind", default=EMIT_CHOICES),
-        "jobs": _Key(_count, default=1),
+        "jobs": _Key(_at_least(1), default=1),
     },
 }
 
@@ -189,7 +190,7 @@ _FLAG_HELP = {
     "--profile": f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
     "of the spec's; the spec's per-key radio values still apply",
     "--emit": f"comma-separated subset of {','.join(EMIT_CHOICES)}",
-    "--jobs": "worker threads for independent (protocol, seed) runs",
+    "--jobs": "worker processes for independent (protocol, seed) runs",
 }
 
 # flag -> (section, key, help)
@@ -322,106 +323,61 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
                           output_dir=got.output_dir, emit=got.emit, jobs=got.jobs)
 
 
-def _summary_lines(summaries: list[BatchSummary]) -> list[str]:
-    header = (
-        f"{'protocol':<9} seeds {'first_dead':>16} {'half_dead':>16} "
-        f"{'all_dead':>16} {'packets_bs':>18}"
-    )
-    lines = [header, "-" * len(header)]
-    for s in summaries:
-        lines.append(
-            f"{s.protocol:<9} {s.seed_count:>5}"
-            f" {s.first_dead.mean:>10.1f} +-{s.first_dead.stddev:<6.1f}"
-            f" {s.half_dead.mean:>10.1f} +-{s.half_dead.stddev:<6.1f}"
-            f" {s.all_dead.mean:>10.1f} +-{s.all_dead.stddev:<6.1f}"
-            f" {s.total_packets.mean:>12.1f} +-{s.total_packets.stddev:<6.1f}"
-        )
-    return lines
-
-
-def _summary_csv_lines(summaries: list[BatchSummary]) -> list[str]:
-    fields = ("first_dead", "half_dead", "all_dead", "total_packets")
-    stats = ("mean", "min", "max", "std")
-    header = "protocol,seeds," + ",".join(f"{f}_{s}" for f in fields for s in stats)
-    lines = [header]
-    for s in summaries:
-        cells = [s.protocol, str(s.seed_count)]
-        for f in fields:
-            agg = getattr(s, f)
-            cells += [
-                f"{agg.mean:.9g}",
-                f"{agg.minimum:.9g}",
-                f"{agg.maximum:.9g}",
-                f"{agg.stddev:.9g}",
-            ]
-        lines.append(",".join(cells))
-    return lines
-
-
 def run_experiment(spec: ExperimentSpec, echo=print) -> int:
     """Run the full protocol x seed matrix and write the requested artifacts.
 
-    Runs are independent and may execute on worker threads; artifact bytes
-    never depend on scheduling because results are collected per (protocol,
-    seed) key and written in a fixed order.  On I/O failure every artifact
-    written so far is removed.
+    Runs are independent and may execute in worker processes; artifact
+    bytes never depend on scheduling because results come back in the order
+    of the runs, (spec protocol, ascending seed), and are written in a fixed
+    order.  On I/O failure every artifact written so far is removed.
     """
-    pairs = [(protocol, seed) for protocol in spec.protocols for seed in spec.seeds]
-    if spec.jobs > 1:
+    seeds = sorted(spec.seeds)
+    configs = [spec.network_config(protocol, seed)
+               for protocol in spec.protocols for seed in seeds]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(spec.jobs, len(configs), cpus or 1)
+    if workers > 1:
         # imported here: concurrent.futures and the logging it pulls in add
         # several ms to every serial run's start-up
-        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(
-                pool.map(lambda ps: run(spec.network_config(ps[0], ps[1])), pairs)
-            )
+        # spawned, not forked: a fork copies locks held by the caller's threads
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+            results = list(pool.map(run, configs))
     else:
-        results = [run(spec.network_config(protocol, seed)) for protocol, seed in pairs]
+        results = [run(config) for config in configs]
+    groups = [results[i:i + len(seeds)] for i in range(0, len(results), len(seeds))]
 
-    by_protocol: dict[str, list[SimResult]] = {p.value: [] for p in spec.protocols}
-    for result in results:
-        by_protocol[result.protocol].append(result)
-    for group in by_protocol.values():
-        group.sort(key=lambda r: r.seed)
-
-    summaries = [BatchSummary.from_results(group) for group in by_protocol.values()]
+    summaries = [BatchSummary.from_results(group) for group in groups]
     summaries.sort(key=lambda s: s.first_dead.mean, reverse=True)
+    table = summary_lines(summaries)
 
+    # emit kind -> {file name: writer of that file}
+    files = {
+        "csv": {f"series_{protocol.value}.csv": partial(emit_series_csv, group)
+                for protocol, group in zip(spec.protocols, groups)},
+        "svg": {f"{kind}.svg": partial(emit_plot_svg, results, kind) for kind in PLOT_KINDS},
+        "summary": {"summary.txt": partial(write_lines, table),
+                    "summary.csv": partial(write_lines, summary_csv_lines(summaries))},
+    }
     written: list[Path] = []
     try:
         spec.output_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in spec.emit:
-            for protocol in spec.protocols:
-                dest = spec.output_dir / f"series_{protocol.value}.csv"
-                written.append(dest)
-                emit_series_csv(by_protocol[protocol.value], dest)
-        if "svg" in spec.emit:
-            all_results = [r for p in spec.protocols for r in by_protocol[p.value]]
-            for kind in ("alive_vs_round", "packets_vs_round"):
-                dest = spec.output_dir / f"{kind}.svg"
-                written.append(dest)
-                emit_plot_svg(all_results, kind, dest)
-        if "summary" in spec.emit:
-            dest = spec.output_dir / "summary.txt"
-            written.append(dest)
-            dest.write_text("\n".join(_summary_lines(summaries)) + "\n", encoding="ascii")
-            dest = spec.output_dir / "summary.csv"
-            written.append(dest)
-            dest.write_text(
-                "\n".join(_summary_csv_lines(summaries)) + "\n", encoding="ascii"
-            )
+        for kind in EMIT_CHOICES:
+            if kind in spec.emit:
+                for name, write in files[kind].items():
+                    dest = spec.output_dir / name
+                    written.append(dest)
+                    write(dest)
     except OSError as exc:
         for path in written:
-            try:
+            with suppress(OSError):
                 path.unlink(missing_ok=True)
-            except OSError:
-                pass
         echo(f"error: failed writing artifacts: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    for line in _summary_lines(summaries):
-        echo(line)
+    echo("\n".join(table))
     echo(f"artifacts written to {spec.output_dir}")
     return EXIT_OK
 
@@ -454,12 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     flags = {flag: args[key] for flag, (_, key, _) in FLAGS.items() if args[key] is not None}
     try:
         spec = load_spec(args["spec"], flags)
-    except SpecError as exc:
+    except (SpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_VALIDATION if isinstance(exc, SpecError) else EXIT_IO
     return run_experiment(spec)
 
 

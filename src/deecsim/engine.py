@@ -44,6 +44,8 @@ class NetworkConfig:
             raise ValueError("n must be at least 1")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         # surfaces quota problems (e.g. negative advanced count) at config time
         self.het.class_counts(self.n)
 

@@ -17,15 +17,21 @@ CSV_HEADER = "protocol,seed,round,alive,packets_bs,packets_ch,residual_j,ch_coun
 
 PLOT_KINDS = ("alive_vs_round", "packets_vs_round")
 
-# fixed protocol order and palette so artifacts are deterministic
-_PROTOCOL_ORDER = ("deec", "ddeec", "edeec", "eddeec")
+# each protocol's colour, in legend order, so artifacts are deterministic
 _PALETTE = {
     "deec": "#1f77b4",
     "ddeec": "#ff7f0e",
     "edeec": "#2ca02c",
     "eddeec": "#d62728",
 }
-_FALLBACK_COLORS = ("#9467bd", "#8c564b", "#e377c2", "#7f7f7f")
+
+# BatchSummary's aggregates as the summary files list them: the field (the
+# summary.csv column prefix), its summary.txt column head, and the width of
+# its mean there
+_SUMMARY_FIELDS = (("first_dead", "first_dead", 10), ("half_dead", "half_dead", 10),
+                   ("all_dead", "all_dead", 10), ("total_packets", "packets_bs", 12))
+# summary.csv column suffix -> Aggregate attribute
+_SUMMARY_STATS = {"mean": "mean", "min": "minimum", "max": "maximum", "std": "stddev"}
 
 
 @dataclass
@@ -146,6 +152,39 @@ class BatchSummary:
         )
 
 
+def summary_lines(summaries: list[BatchSummary]) -> list[str]:
+    """The ``summary.txt`` table: mean +- stddev of each aggregate, one row
+    per protocol in the given order."""
+    header = f"{'protocol':<9} seeds" + "".join(
+        f" {head:>{width + 6}}" for _, head, width in _SUMMARY_FIELDS
+    )
+    lines = [header, "-" * len(header)]
+    for s in summaries:
+        lines.append(f"{s.protocol:<9} {s.seed_count:>5}" + "".join(
+            f" {getattr(s, field).mean:>{width}.1f} +-{getattr(s, field).stddev:<6.1f}"
+            for field, _, width in _SUMMARY_FIELDS
+        ))
+    return lines
+
+
+def summary_csv_lines(summaries: list[BatchSummary]) -> list[str]:
+    """The ``summary.csv`` rows: every statistic of each aggregate, one row
+    per protocol in the given order."""
+    cells = [f"{field}_{stat}" for field, _, _ in _SUMMARY_FIELDS for stat in _SUMMARY_STATS]
+    lines = ["protocol,seeds," + ",".join(cells)]
+    for s in summaries:
+        cells = [f"{getattr(getattr(s, field), attr):.9g}"
+                 for field, _, _ in _SUMMARY_FIELDS for attr in _SUMMARY_STATS.values()]
+        lines.append(",".join([s.protocol, str(s.seed_count), *cells]))
+    return lines
+
+
+def write_lines(lines: list[str], destination) -> None:
+    """Write ``lines`` to ``destination`` as ASCII, each ended by ``\\n``."""
+    with open(destination, "w", encoding="ascii", newline="") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def emit_series_csv(results: list[SimResult], destination) -> None:
     """Write the per-round series of one protocol to ``destination``.
 
@@ -171,9 +210,7 @@ def emit_series_csv(results: list[SimResult], destination) -> None:
             f"{prefix}{rnd},{alive},{bs},{to_ch},{residual:.9g},{heads}"
             for rnd, alive, bs, to_ch, residual, heads in columns
         )
-    lines.append("")
-    with open(destination, "w", encoding="ascii", newline="") as f:
-        f.write("\n".join(lines))
+    write_lines(lines, destination)
 
 
 def seed_mean_series(results: list[SimResult], kind: str) -> np.ndarray:
@@ -195,40 +232,56 @@ def seed_mean_series(results: list[SimResult], kind: str) -> np.ndarray:
     return stacked.mean(axis=0)
 
 
-def _nice_step(span: float) -> float:
-    """Largest 1/2/5 * 10^k step giving at least 4 intervals over span."""
-    if span <= 0:
-        return 1.0
-    raw = span / 4.0
-    power = 10.0 ** math.floor(math.log10(raw))
-    for mult in (5.0, 2.0, 1.0):
-        if power * mult <= raw:
-            return power * mult
-    return power
+def _ticks(span: float):
+    """Axis ticks 0, step, 2*step, ... up to span, where step is the largest
+    1/2/5 * 10^k giving at least 4 intervals over span."""
+    step = 1.0
+    if span > 0:
+        raw = span / 4.0
+        step = 10.0 ** math.floor(math.log10(raw))
+        step = next((step * mult for mult in (5.0, 2.0) if step * mult <= raw), step)
+    tick = 0.0
+    while tick <= span:
+        yield tick
+        tick += step
 
 
 def _fmt(value: float) -> str:
     return f"{value:.10g}"
 
 
+def _line(x1, y1, x2, y2, stroke="black", width=1) -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"/>'
+    )
+
+
+def _text(x, y, body, size, anchor="middle", transform=None) -> str:
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor} font-family="sans-serif" '
+        f'font-size="{size}"{transform}>{body}</text>'
+    )
+
+
 def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     """Write a static SVG line chart: one polyline per protocol.
 
     Each polyline is the seed-mean series (one vertex per round), drawn
-    with a fixed palette and legend; no scripting or interactivity.
+    with a fixed palette and legend, in the palette's protocol order; no
+    scripting or interactivity.  An unknown plot kind (checked by
+    :func:`seed_mean_series`) or a protocol label with no colour is an error.
     """
-    if kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind {kind!r}")
     if not results:
         raise ValueError("need at least one result to plot")
+    unknown = {r.protocol for r in results} - set(_PALETTE)
+    if unknown:
+        raise ValueError(f"no colour for protocol(s) {', '.join(sorted(unknown))}")
 
-    by_protocol: dict[str, list[SimResult]] = {}
-    for result in results:
-        by_protocol.setdefault(result.protocol, []).append(result)
-    ordered = [p for p in _PROTOCOL_ORDER if p in by_protocol]
-    ordered += sorted(set(by_protocol) - set(ordered))
-
-    series = {p: seed_mean_series(by_protocol[p], kind) for p in ordered}
+    groups = {p: [r for r in results if r.protocol == p] for p in _PALETTE}
+    series = {p: seed_mean_series(group, kind) for p, group in groups.items() if group}
     x_max = max(len(s) for s in series.values())
     y_max = max(float(s.max()) for s in series.values())
     if y_max <= 0:
@@ -245,90 +298,44 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     def sy(y):
         return top + plot_h * (1.0 - y / y_max)
 
-    y_label = "alive nodes" if kind == "alive_vs_round" else "packets to BS (cumulative)"
-    title = (
-        "Alive nodes per round" if kind == "alive_vs_round" else "Cumulative packets to BS"
-    )
+    if kind == "alive_vs_round":
+        title, y_label = "Alive nodes per round", "alive nodes"
+    else:
+        title, y_label = "Cumulative packets to BS", "packets to BS (cumulative)"
 
-    parts: list[str] = []
-    parts.append(
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
-    )
-    parts.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>')
-    parts.append(
-        f'<text x="{_fmt(left + plot_w / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>'
-    )
-    # axes
-    parts.append(
-        f'<line x1="{_fmt(left)}" y1="{_fmt(top + plot_h)}" x2="{_fmt(left + plot_w)}" '
-        f'y2="{_fmt(top + plot_h)}" stroke="black" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_fmt(left)}" y1="{_fmt(top)}" x2="{_fmt(left)}" '
-        f'y2="{_fmt(top + plot_h)}" stroke="black" stroke-width="1"/>'
-    )
+        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
+        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
+        _text(left + plot_w / 2, 24, title, 16),
+        # axes
+        _line(left, top + plot_h, left + plot_w, top + plot_h),
+        _line(left, top, left, top + plot_h),
+    ]
 
-    x_step = _nice_step(float(x_max))
-    tick = 0.0
-    while tick <= x_max:
+    for tick in _ticks(float(x_max)):
         px = sx(tick)
-        parts.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(top + plot_h)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(top + plot_h + 5)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(top + plot_h + 20)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
-        tick += x_step
-    y_step = _nice_step(y_max)
-    tick = 0.0
-    while tick <= y_max:
+        parts += [_line(px, top + plot_h, px, top + plot_h + 5),
+                  _text(px, top + plot_h + 20, _fmt(tick), 11)]
+    for tick in _ticks(y_max):
         py = sy(tick)
-        parts.append(
-            f'<line x1="{_fmt(left - 5)}" y1="{_fmt(py)}" x2="{_fmt(left)}" '
-            f'y2="{_fmt(py)}" stroke="black" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(left - 8)}" y="{_fmt(py + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>'
-        )
-        tick += y_step
+        parts += [_line(left - 5, py, left, py),
+                  _text(left - 8, py + 4, _fmt(tick), 11, anchor="end")]
 
-    parts.append(
-        f'<text x="{_fmt(left + plot_w / 2)}" y="{_fmt(height - 14)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">round</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{_fmt(top + plot_h / 2)}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 20 {_fmt(top + plot_h / 2)})">{y_label}</text>'
-    )
+    mid = top + plot_h / 2
+    parts += [_text(left + plot_w / 2, height - 14, "round", 13),
+              _text(20, mid, y_label, 13, transform=f"rotate(-90 20 {_fmt(mid)})")]
 
-    fallback = iter(_FALLBACK_COLORS)
-    for idx, protocol in enumerate(ordered):
-        color = _PALETTE.get(protocol) or next(fallback)
-        values = series[protocol]
+    lx = left + plot_w + 24
+    for idx, (protocol, values) in enumerate(series.items()):
+        color = _PALETTE[protocol]
         px = sx(np.arange(values.size, dtype=np.float64)).tolist()
         py = sy(values).tolist()
         points = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(px, py))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
         ly = top + 16 + 22 * idx
-        lx = left + plot_w + 24
-        parts.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 26)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(lx + 32)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="12">{protocol.upper()}</text>'
-        )
+        parts += [f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>',
+                  _line(lx, ly - 4, lx + 26, ly - 4, stroke=color, width=2),
+                  _text(lx + 32, ly, protocol.upper(), 12, anchor=None)]
 
     parts.append("</svg>")
-    with open(destination, "w", encoding="ascii", newline="") as f:
-        f.write("\n".join(parts) + "\n")
+    write_lines(parts, destination)

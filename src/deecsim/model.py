@@ -41,8 +41,9 @@ class RadioParams:
 
     def __post_init__(self) -> None:
         for name in ("e_elec", "eps_fs", "eps_mp", "e_da", "d0", "message_bits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"RadioParams.{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"RadioParams.{name} must be finite and strictly positive")
 
 
 # The two shipped radio profiles differ only in the free-space amplifier
@@ -79,11 +80,13 @@ class FieldGeometry:
     bs_position: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if self.side_m <= 0:
-            raise ValueError("FieldGeometry.side_m must be strictly positive")
+        if not (math.isfinite(self.side_m) and self.side_m > 0):
+            raise ValueError("FieldGeometry.side_m must be finite and strictly positive")
         if self.bs_position is None:
             center = (self.side_m / 2.0, self.side_m / 2.0)
             object.__setattr__(self, "bs_position", center)
+        if not all(map(math.isfinite, self.bs_position)):
+            raise ValueError("FieldGeometry.bs_position must be finite")
 
 
 def distance(p: tuple[float, float], q: tuple[float, float]) -> float:

@@ -68,6 +68,8 @@ class HeterogeneityParams:
     e0: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.a, self.b, self.e0))):
+            raise ValueError("a, b and e0 must be finite")
         if not 0.0 <= self.m <= 1.0:
             raise ValueError("m must lie in [0, 1]")
         if not 0.0 <= self.m0 <= 1.0:
@@ -133,12 +135,13 @@ class ProtocolConfig:
     avg_energy_mode: str = "estimated"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "kind", Protocol(self.kind))
         if not 0.0 < self.p_opt < 1.0:
             raise ValueError("p_opt must lie in (0, 1)")
         if not 0.0 <= self.z < 1.0:
             raise ValueError("z must lie in [0, 1)")
-        if self.c <= 0.0:
-            raise ValueError("c must be strictly positive")
+        if not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError("c must be finite and strictly positive")
         if self.avg_energy_mode not in ("estimated", "true"):
             raise ValueError("avg_energy_mode must be 'estimated' or 'true'")
 

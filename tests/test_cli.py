@@ -1,3 +1,5 @@
+import concurrent.futures
+import hashlib
 import os
 import shutil
 import tempfile
@@ -159,6 +161,18 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="seeds lists a seed twice"):
             load_spec(path)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        path = tmp_path / "x.cfg"
+        path.write_text("[experiment]\nseeds = 1, -1\n")
+        with pytest.raises(SpecError, match=r"\[experiment\] seeds: must be at least 0, not -1"):
+            load_spec(path)
+
+    def test_negative_base_seed_derives_seeds(self, tmp_path):
+        # derive_seeds masks the base to 64 bits, so any base gives seeds >= 0
+        path = tmp_path / "x.cfg"
+        path.write_text("[experiment]\nbase_seed = -1\nseed_count = 2\n")
+        assert load_spec(path).seeds == derive_seeds(-1, 2)
+
     def test_duplicate_protocols_rejected(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text("[experiment]\nprotocols = deec, DEEC\nseeds = 1\n")
@@ -206,15 +220,47 @@ class TestRunExperiment:
                      "packets_vs_round.svg", "summary.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
-    def test_concurrency_does_not_change_bytes(self, tmp_path):
+    def test_concurrency_does_not_change_bytes(self, tmp_path, monkeypatch):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         spec = load_spec(write_tiny_spec(tmp_path, out_a))
         run_experiment(spec, echo=lambda *a, **k: None)
         (tmp_path / "tiny.cfg").unlink()
-        spec4 = load_spec(write_tiny_spec(tmp_path, out_b, extra="jobs = 4\n"))
-        run_experiment(spec4, echo=lambda *a, **k: None)
-        for name in ("series_deec.csv", "series_eddeec.csv", "summary.csv"):
+        spec2 = load_spec(write_tiny_spec(tmp_path, out_b, extra="jobs = 2\n"))
+        # two CPUs whatever the host has, so the two worker processes start
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        run_experiment(spec2, echo=lambda *a, **k: None)
+        for name in ("series_deec.csv", "series_eddeec.csv", "alive_vs_round.svg",
+                     "packets_vs_round.svg", "summary.csv", "summary.txt"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (64, 8, 4), (64, 3, 3), (2, 8, 2), (1, 8, None), (64, 1, None),
+    ])
+    def test_jobs_clamped_to_runs_and_cpus(self, tmp_path, monkeypatch, jobs, cpus, workers):
+        # the tiny spec has 4 runs; one worker runs them in this process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        out = tmp_path / "results"
+        spec = load_spec(write_tiny_spec(tmp_path, out, extra=f"jobs = {jobs}\n"))
+        assert run_experiment(spec, echo=lambda *a, **k: None) == EXIT_OK
+        assert pools == ([] if workers is None else [workers])
+        assert len(list(out.iterdir())) == 6
 
     def test_unwritable_output_dir_leaves_nothing(self, tmp_path):
         blocker = tmp_path / "results"
@@ -230,6 +276,58 @@ class TestRunExperiment:
         lines = (out / "summary.csv").read_text().splitlines()
         means = [float(line.split(",")[2]) for line in lines[1:]]
         assert means == sorted(means, reverse=True)
+
+
+# Every emit kind, protocols out of legend order, seeds out of order, runs of
+# unequal length and a first_dead tie (eddeec, edeec) in the summary order.
+LOCK_SPEC = """
+[network]
+nodes = 20
+field_m = 50
+max_rounds = 400
+
+[radio]
+profile = leach-standard
+
+[heterogeneity]
+m = 0.5
+m0 = 0.5
+a = 2.0
+b = 3.5
+e0_j = 0.02
+
+[protocol]
+c = 0.1
+
+[experiment]
+protocols = eddeec, deec, edeec, ddeec
+seeds = 9, 3
+emit = summary, svg, csv
+"""
+
+# SHA-256 of each artifact of LOCK_SPEC, recorded with the artifact writers
+# of commit 8eecfd9, before they moved into metrics.
+LOCKED_ARTIFACTS = {
+    "alive_vs_round.svg": "2e815c12c7577104779a631d3d566372344794759a97c146bd20610b4e5c6e25",
+    "packets_vs_round.svg": "f61eb37cb098763af18c5a153ebc03094691dc69e6dc7e18c68df8123b92da5a",
+    "series_ddeec.csv": "92cf6636d58ee31dcc2c12e58d7d3ca6e553a2f879e852d59a2e8f5c671dec9f",
+    "series_deec.csv": "ee22855b439deb9ed1c8229a0965ad401f496715098800938043e1cbb5a06ffd",
+    "series_eddeec.csv": "1fb85b08d2a6a4705891bb173c929be65c1b20c9b1b1d62fc7c503381dfb3166",
+    "series_edeec.csv": "3c21e1226b1034c8a8a80533fa232dfede6e352029e29912df57ffc1ce9aa07c",
+    "summary.csv": "cb20e6637403a9a72282bb621bb0acb589baed817931f18339acd6686100c699",
+    "summary.txt": "5cdd3633378a921ee6ced867e77879275ea93cb3a4c3a94b0a6ebfacded30895",
+}
+
+
+def test_artifact_bytes_locked(tmp_path, capsys):
+    out = tmp_path / "results"
+    path = tmp_path / "lock.cfg"
+    path.write_text(LOCK_SPEC + f"output_dir = {out}\n")
+    assert main(["run", str(path)]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == LOCKED_ARTIFACTS
+    printed = capsys.readouterr().out
+    assert printed == (out / "summary.txt").read_text() + f"artifacts written to {out}\n"
 
 
 class TestMain:
@@ -301,6 +399,21 @@ class TestMain:
         assert main(["run", str(path), *flags]) == EXIT_VALIDATION
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("protocol", "c", "nan"),
+        ("protocol", "c", "inf"),
+        ("heterogeneity", "e0_j", "inf"),
+        ("heterogeneity", "b", "inf"),
+        ("radio", "e_elec_j", "nan"),
+        ("radio", "d0_m", "inf"),
+        ("network", "field_m", "nan"),
+        ("network", "bs_x", "nan\nbs_y = 10"),
+    ])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, section, key, value):
+        keyed, _ = _keyed_and_flagged(tmp_path, section, key, value)
+        assert _artifacts(["run", str(keyed)], tmp_path / "results") == (EXIT_VALIDATION, None)
+        assert "must be finite" in capsys.readouterr().err
 
     def test_seed_count_override_prefix(self, tmp_path):
         out2, out3 = tmp_path / "r2", tmp_path / "r3"

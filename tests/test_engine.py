@@ -107,6 +107,32 @@ class TestInitialize:
                 max_rounds=0,
             )
 
+    @pytest.mark.parametrize("part, fields", [
+        ("geometry", ("side_m",)),
+        *[("radio", (f.name,)) for f in dataclasses.fields(LEACH)],
+        ("het", ("a", "b")), ("het", ("b",)), ("het", ("e0",)), ("protocol", ("c",)),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_part_rejected(self, part, fields, bad):
+        good = getattr(tiny_config(), part)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(good, **dict.fromkeys(fields, bad))
+
+    @pytest.mark.parametrize("bs", [(10.0, math.nan), (math.inf, 10.0)])
+    def test_non_finite_bs_rejected(self, bs):
+        with pytest.raises(ValueError, match="finite"):
+            FieldGeometry(50.0, bs)
+
+    def test_protocol_kind_coerced(self):
+        assert ProtocolConfig(kind="eddeec").kind is Protocol.EDDEEC
+        with pytest.raises(ValueError):
+            ProtocolConfig(kind="leach")
+
+    def test_negative_seed_rejected(self):
+        assert tiny_config(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must not be negative"):
+            tiny_config(seed=-1)
+
 
 class TestElection:
     def test_all_dead_elects_nobody(self, config_sec3, kernels):

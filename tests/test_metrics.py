@@ -211,6 +211,22 @@ class TestSvg:
             assert len(re.findall(f">{label}<", text)) == 1
         assert len(re.findall(r"<polyline", text)) == 4
 
+    def test_unknown_protocol_rejected(self, tmp_path):
+        results = [fake_result([5, 0], n=5), fake_result([5, 0], n=5, protocol="leach")]
+        with pytest.raises(ValueError, match="no colour for protocol"):
+            emit_plot_svg(results, "alive_vs_round", tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("order", [
+        ("eddeec", "edeec", "ddeec", "deec"), ("ddeec", "eddeec", "deec", "edeec"),
+    ])
+    def test_legend_order_fixed(self, tmp_path, order):
+        results = [fake_result([5, 0], n=5, protocol=p) for p in order]
+        dest = tmp_path / "alive.svg"
+        emit_plot_svg(results, "alive_vs_round", dest)
+        legend = re.findall(r'font-size="12">([A-Z]+)<', dest.read_text())
+        assert legend == ["DEEC", "DDEEC", "EDEEC", "EDDEEC"]
+
     def test_rerun_byte_identical(self, tmp_path):
         results = [fake_result([6, 3, 0], n=6)]
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
