@@ -3,7 +3,7 @@ election protocols (DEEC, DDEEC, EDEEC, EDDEEC) in heterogeneous wireless
 sensor networks."""
 
 from ._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, ASSIGN_NONE, get_backend
-from .engine import NetworkConfig, RoundOutcome, Simulation, run
+from .engine import NetworkConfig, Simulation, run
 from .metrics import (
     BatchSummary,
     LifetimeSummary,
@@ -56,7 +56,6 @@ __all__ = [
     "ProtocolConfig",
     "RADIO_PROFILES",
     "RadioParams",
-    "RoundOutcome",
     "SimResult",
     "Simulation",
     "absolute_threshold",

@@ -50,33 +50,14 @@ class NetworkConfig:
         self.het.class_counts(self.n)
 
 
-@dataclass
-class RoundOutcome:
-    """Observables of one simulated round.
-
-    ``assignment_codes`` holds one entry per node id: a head id for cluster
-    members, ``ASSIGN_CH`` for heads, ``ASSIGN_DIRECT_BS`` for nodes that
-    uplinked straight to the BS, ``ASSIGN_NONE`` for nodes dead at round
-    start.
-    """
-
-    round: int
-    ch_ids: np.ndarray
-    assignment_codes: np.ndarray
-    packets_to_bs: int
-    packets_to_ch: int
-    alive_after: int
-    total_residual_after: float
-    charged_j: float
-    overdraft_j: float
-
-
 class Simulation:
     """Single deterministic run over flat per-node arrays.
 
     ``step()`` advances one round (elect, form clusters, transfer data);
-    the three phases are also callable individually.  ``backend`` swaps in
-    other round kernels with the same contract as ``get_backend()``'s.
+    the three phases are also callable individually.  ``steady_state``
+    records one row per round, and ``result()`` returns the series of the
+    rounds run so far.  ``backend`` swaps in other round kernels with the
+    same contract as ``get_backend()``'s.
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -126,6 +107,10 @@ class Simulation:
         )
         self._radio_args = (bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.e_da, radio.d0)
         self.round = 0
+        # one row per round: (alive, packets to BS, packets to heads, heads)
+        # and (residual, charged, overdraft) in joules
+        self._counts: list[tuple] = []
+        self._energy: list[tuple] = []
 
     def alive_count(self) -> int:
         return int(np.count_nonzero(self.alive))
@@ -161,70 +146,49 @@ class Simulation:
         lower head id); with no heads, mark every alive node direct-to-BS."""
         return self.kernels.assign(self.x, self.y, self.alive, ch_ids)
 
-    def steady_state(self, assignment_codes: np.ndarray) -> RoundOutcome:
-        """Charge the round's transfers, apply deaths, and advance the round."""
-        alive_before = self.alive_count()
+    def steady_state(self, assignment_codes: np.ndarray) -> None:
+        """Charge the round's transfers, apply deaths, record the round's
+        row and advance the round.  Only nodes that die overdraw, so the
+        overdraft is 0.0 on rounds without a death."""
         charge, overdraft, packets_to_bs, packets_to_ch, ch_ids = self.kernels.steady(
             self.x, self.y, self.tx_bs, self.residual, self.alive, assignment_codes,
             *self._radio_args,
         )
-        alive_after = self.alive_count()
-        outcome = RoundOutcome(
-            round=self.round,
-            ch_ids=ch_ids,
-            assignment_codes=assignment_codes,
-            packets_to_bs=int(packets_to_bs),
-            packets_to_ch=int(packets_to_ch),
-            alive_after=alive_after,
-            total_residual_after=float(self.residual.sum()),
-            charged_j=float(charge.sum()),
-            # only nodes that die this round overdraw
-            overdraft_j=float(overdraft.sum()) if alive_after < alive_before else 0.0,
-        )
+        self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, ch_ids.size))
+        self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))
         self.round += 1
-        return outcome
 
-    def step(self) -> RoundOutcome:
+    def step(self) -> None:
         ch_ids = self.elect_cluster_heads()
         codes = self.form_clusters(ch_ids)
-        return self.steady_state(codes)
+        self.steady_state(codes)
+
+    def result(self) -> SimResult:
+        """The series of the rounds run so far; packet counts cumulative."""
+        counts = np.array(self._counts, dtype=np.int64).reshape(-1, 4)
+        energy = np.array(self._energy, dtype=np.float64).reshape(-1, 3)
+        # transposed copies, so that each series is one contiguous row
+        alive, to_bs, to_ch, heads = counts.T.copy()
+        residual, charged, overdraft = energy.T.copy()
+        config = self.config
+        return SimResult(
+            protocol=config.protocol.kind.value,
+            seed=config.seed,
+            n=config.n,
+            alive=alive,
+            packets_bs=np.cumsum(to_bs),
+            packets_ch=np.cumsum(to_ch),
+            residual_j=residual,
+            ch_count=heads,
+            charged_j=charged,
+            overdraft_j=overdraft,
+            max_rounds=config.max_rounds,
+        )
 
 
 def run(config: NetworkConfig, backend: Backend | None = None) -> SimResult:
     """Simulate until every node is dead or the round cap is reached."""
     sim = Simulation(config, backend)
-    alive = []
-    packets_bs = []
-    packets_ch = []
-    residual = []
-    ch_count = []
-    charged = []
-    overdraft = []
-    total_bs = 0
-    total_ch = 0
-    alive_now = sim.alive_count()
-    while sim.round < config.max_rounds and alive_now > 0:
-        out = sim.step()
-        alive_now = out.alive_after
-        total_bs += out.packets_to_bs
-        total_ch += out.packets_to_ch
-        alive.append(alive_now)
-        packets_bs.append(total_bs)
-        packets_ch.append(total_ch)
-        residual.append(out.total_residual_after)
-        ch_count.append(len(out.ch_ids))
-        charged.append(out.charged_j)
-        overdraft.append(out.overdraft_j)
-    return SimResult(
-        protocol=config.protocol.kind.value,
-        seed=config.seed,
-        n=config.n,
-        alive=np.array(alive, dtype=np.int64),
-        packets_bs=np.array(packets_bs, dtype=np.int64),
-        packets_ch=np.array(packets_ch, dtype=np.int64),
-        residual_j=np.array(residual, dtype=np.float64),
-        ch_count=np.array(ch_count, dtype=np.int64),
-        charged_j=np.array(charged, dtype=np.float64),
-        overdraft_j=np.array(overdraft, dtype=np.float64),
-        max_rounds=config.max_rounds,
-    )
+    while sim.round < config.max_rounds and sim.alive.any():
+        sim.step()
+    return sim.result()

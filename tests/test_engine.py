@@ -41,7 +41,8 @@ LEACH = RADIO_PROFILES["leach-standard"]
 
 def tiny_config(seed=1, kind=Protocol.EDDEEC, n=20, e0=0.05, max_rounds=300,
                 a=2.0, b=3.5, **proto_kw):
-    """Small, fast network that still dies within the round cap."""
+    """Small, fast network.  At seed 1 its last node dies in round 652, so
+    the default cap of 300 rounds stops it with nodes alive."""
     return NetworkConfig(
         n=n,
         geometry=FieldGeometry(50.0),
@@ -562,8 +563,9 @@ class TestSteadyState:
         sim.alive[:] = [True, False, False]
         codes = sim.form_clusters(np.array([0], dtype=np.int64))
         before = sim.residual.copy()
-        out = sim.steady_state(codes)
-        assert out.packets_to_bs == 1 and out.packets_to_ch == 0
+        sim.steady_state(codes)
+        result = sim.result()
+        assert result.packets_bs.tolist() == [1] and result.packets_ch.tolist() == [0]
         radio = sim.config.radio
         d = distance((sim.x[0], sim.y[0]), sim.config.geometry.bs_position)
         expected = aggregation_energy(4000, 1, radio) + tx_energy(4000, d, radio)
@@ -573,8 +575,9 @@ class TestSteadyState:
         sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
         codes = sim.form_clusters(np.array([1], dtype=np.int64))
         before = sim.residual.copy()
-        out = sim.steady_state(codes)
-        assert out.packets_to_bs == 1 and out.packets_to_ch == 2
+        sim.steady_state(codes)
+        result = sim.result()
+        assert result.packets_bs.tolist() == [1] and result.packets_ch.tolist() == [2]
         radio = sim.config.radio
         d = distance((sim.x[1], sim.y[1]), sim.config.geometry.bs_position)
         expected = (
@@ -607,18 +610,23 @@ class TestSteadyState:
         # independent oracle: recompute all charges through the scalar model
         # and compare with the residual decrease plus recorded overdraft
         sim = Simulation(config_sec3(seed=5, c=0.1), backend=kernels)
+        totals, drops = [], []
         for _ in range(400):
             if sim.alive_count() == 0:
                 break
             before = sim.residual.copy()
             ch = sim.elect_cluster_heads()
             codes = sim.form_clusters(ch)
-            expected = self._charges_oracle(sim, codes)
-            out = sim.steady_state(codes)
-            drop = float(before.sum() - sim.residual.sum())
-            total = float(expected.sum())
-            assert abs(total - (drop + out.overdraft_j)) <= 1e-9 * total
-            assert out.charged_j == pytest.approx(total, rel=1e-9)
+            totals.append(float(self._charges_oracle(sim, codes).sum()))
+            sim.steady_state(codes)
+            drops.append(float(before.sum() - sim.residual.sum()))
+        result = sim.result()
+        assert result.rounds == len(totals)
+        for total, drop, charged, overdraft in zip(
+            totals, drops, result.charged_j, result.overdraft_j
+        ):
+            assert abs(total - (drop + overdraft)) <= 1e-9 * total
+            assert charged == pytest.approx(total, rel=1e-9)
 
 
 class TestRun:
@@ -659,12 +667,25 @@ class TestRun:
         for _ in range(3000):
             if sim.alive_count() == 0:
                 break
-            out = sim.step()
-            codes = out.assignment_codes
+            ch_ids = sim.elect_cluster_heads()
+            codes = sim.form_clusters(ch_ids)
+            sim.steady_state(codes)
             assert (codes[seen_dead] == ASSIGN_NONE).all()
-            assert not np.any(seen_dead[out.ch_ids])
+            assert not np.any(seen_dead[ch_ids])
             seen_dead |= ~sim.alive
         assert seen_dead.any()
+
+    @pytest.mark.parametrize("max_rounds, dies", [(1000, True), (40, False)],
+                             ids=["dies", "capped"])
+    def test_stepped_result_matches_run(self, kernels, max_rounds, dies):
+        config = tiny_config(max_rounds=max_rounds)
+        sim = Simulation(config, backend=kernels)
+        while sim.round < max_rounds and sim.alive_count():
+            sim.step()
+        stepped = sim.result()
+        # the network dies before the cap, or the cap stops it with nodes alive
+        assert (stepped.rounds < max_rounds, stepped.alive[-1] == 0) == (dies, dies)
+        assert digest([stepped]) == digest([run(config, backend=kernels)])
 
     def test_collapsed_classes_make_protocols_identical(self):
         # with a = b = 0 every weight is 1, so all four protocols (any z,
