@@ -2,7 +2,7 @@
 election protocols (DEEC, DDEEC, EDEEC, EDDEEC) in heterogeneous wireless
 sensor networks."""
 
-from ._kernels import ASSIGN_CH, ASSIGN_DIRECT_BS, ASSIGN_NONE, get_backend
+from ._kernels import get_backend
 from .engine import NetworkConfig, Simulation, run
 from .metrics import (
     BatchSummary,
@@ -40,9 +40,6 @@ from .protocols import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASSIGN_CH",
-    "ASSIGN_DIRECT_BS",
-    "ASSIGN_NONE",
     "AVG_ENERGY_FLOOR_J",
     "BatchSummary",
     "EnergyEstimate",

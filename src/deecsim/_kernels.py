@@ -4,9 +4,14 @@ and steady-state charging, vectorized with numpy.
 This module is the only place the per-node laws are written: the election
 probability with its low-energy rule (:func:`_probability`), the epoch and
 rotating threshold (:func:`_rotation`), the first-order transmit cost
-(:func:`_transmit`) and a cluster head's round cost (:func:`_head_charge`).  The engine runs them through the round kernels, and
-the paper's acceptance gates (C4, C5, C8, C9) test these same functions;
+(:func:`_transmit`) and a cluster head's round cost (:func:`_head_charge`).
+The engine runs them through the round kernels, and the paper's acceptance
+gates (C4, C5, C8, C9) test these same functions;
 ``protocols.election_constants`` supplies their per-run constants.
+
+The round kernels hand each other ids, not per-node codes: the election
+returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
+of those heads, and the steady kernel charges from the three.
 
 A :class:`Backend` bundles the three; :func:`get_backend` returns the only
 set, named ``"numpy"``.  ``Simulation`` accepts another ``Backend`` with the
@@ -21,11 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-# Assignment codes (per node, per round).
-ASSIGN_NONE = -3  # dead this round
-ASSIGN_CH = -2  # node is a cluster head
-ASSIGN_DIRECT_BS = -1  # no head elected; node uplinks straight to the BS
 
 # Epoch lengths round(1/p) beyond this have no exact integer form in a
 # float64; the threshold correction term is negligible there (p < 1.2e-16).
@@ -213,7 +213,10 @@ def _nearest_tiled(mx, my, hx, hy, ids):
 def _assign_numpy(x, y, alive, ch_ids):
     """Nearest-head cluster assignment, ties to the lower head id.
 
-    With no heads, every alive node is marked direct-to-BS.
+    Returns ``(members, nearest)``: the ascending ids of the alive nodes
+    that are not heads, and each member's nearest head id.  With no heads,
+    ``members`` is every alive node, each uplinking straight to the BS, and
+    ``nearest`` is empty.
 
     Below ``_TILE_MIN_PAIRS`` members x heads one dense block of squared
     distances decides.  Above it the members are bucketed into T x T square
@@ -221,7 +224,7 @@ def _assign_numpy(x, y, alive, ch_ids):
     within a half-tile margin of it; members whose nearest head may lie
     farther out fall back to all heads (``_nearest_tiled`` gives the
     exactness argument).  Both paths evaluate the same ``dx*dx + dy*dy``
-    and keep the lowest head id on ties, so they return identical codes.
+    and keep the lowest head id on ties, so they return identical heads.
 
     The 40k-pair crossover was measured on engine rounds at n = 300..1000
     on the paper's 100 m field (2-core x86-64, numpy 2.4): between about
@@ -232,56 +235,47 @@ def _assign_numpy(x, y, alive, ch_ids):
     heads buffers of up to 14 MB each give way to per-tile blocks of a few
     tens of kB; at n = 20000 (about 1400 heads) it takes about 8 ms.
     """
-    n = x.shape[0]
-    codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
-    if ch_ids.size == 0:
-        codes[alive] = ASSIGN_DIRECT_BS
-        return codes
-    codes[ch_ids] = ASSIGN_CH
     member = alive.copy()
     member[ch_ids] = False
-    mi = member.nonzero()[0]
-    if mi.size:
-        mx, my, hx, hy = x[mi], y[mi], x[ch_ids], y[ch_ids]
-        if mi.size * ch_ids.size < _TILE_MIN_PAIRS:
-            codes[mi] = _nearest_dense(mx, my, hx, hy, ch_ids)
-        else:
-            nearest = _nearest_tiled(mx, my, hx, hy, ch_ids)
-            if nearest is None:
-                nearest = _nearest_dense(mx, my, hx, hy, ch_ids)
-            codes[mi] = nearest
-    return codes
+    members = member.nonzero()[0]
+    if ch_ids.size == 0 or members.size == 0:
+        return members, ch_ids[:0]
+    mx, my, hx, hy = x[members], y[members], x[ch_ids], y[ch_ids]
+    nearest = None
+    if members.size * ch_ids.size >= _TILE_MIN_PAIRS:
+        nearest = _nearest_tiled(mx, my, hx, hy, ch_ids)
+    if nearest is None:
+        nearest = _nearest_dense(mx, my, hx, hy, ch_ids)
+    return members, nearest
 
 
-def _steady_numpy(x, y, tx_bs, residual, alive, codes,
+def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
                   bits, e_elec, eps_fs, eps_mp, e_da, d0):
     """Steady-state data transfer: charge every alive node once.
 
-    Members transmit to their head over the actual distance; each head pays
-    ``_head_charge`` and each direct node its uplink, ``tx_bs``.
+    ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
+    ``_assign_numpy``'s result.  Each member transmits to its nearest head
+    over the actual distance and each head pays ``_head_charge``; on rounds
+    without heads each member uplinks directly and pays ``tx_bs``.
     Nodes complete the round's action even when it kills them (clamped at
     zero; the shortfall is reported as overdraft).  Returns per-node charge
-    and overdraft, the packet counts, and the head ids in ascending order.
+    and overdraft and the packet counts to the BS and to heads.
     """
     n = x.shape[0]
-    direct = codes == ASSIGN_DIRECT_BS
-    charge = np.where(direct, tx_bs, 0.0)
-    packets_to_bs = np.count_nonzero(direct)
-    packets_to_ch = 0
-    ch = (codes == ASSIGN_CH).nonzero()[0]
-    if ch.size:  # members point at heads, so without heads there are none
-        mi = (codes >= 0).nonzero()[0]
-        head = codes[mi]
-        d = x[mi] - x[head]
+    charge = np.zeros(n, dtype=np.float64)
+    if ch_ids.size:
+        d = x[members] - x[nearest]
         d *= d
-        dy2 = y[mi] - y[head]
+        dy2 = y[members] - y[nearest]
         dy2 *= dy2
         d += dy2
-        charge[mi] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
-        members = np.bincount(head, minlength=n)[ch]
-        charge[ch] = _head_charge(members, tx_bs[ch], bits, e_elec, e_da)
-        packets_to_ch = mi.size
-        packets_to_bs += ch.size
+        charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
+        counts = np.bincount(nearest, minlength=n)[ch_ids]
+        charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], bits, e_elec, e_da)
+        packets_to_bs, packets_to_ch = ch_ids.size, members.size
+    else:
+        charge[members] = tx_bs[members]
+        packets_to_bs, packets_to_ch = members.size, 0
 
     remaining = residual - charge
     overdraft = np.zeros(n, dtype=np.float64)
@@ -291,7 +285,7 @@ def _steady_numpy(x, y, tx_bs, residual, alive, codes,
         remaining[dying] = 0.0
     np.copyto(residual, remaining, where=alive)
     alive[dying] = False
-    return charge, overdraft, packets_to_bs, packets_to_ch, ch
+    return charge, overdraft, packets_to_bs, packets_to_ch
 
 
 @dataclass(frozen=True)

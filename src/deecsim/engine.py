@@ -54,10 +54,12 @@ class Simulation:
     """Single deterministic run over flat per-node arrays.
 
     ``step()`` advances one round (elect, form clusters, transfer data);
-    the three phases are also callable individually.  ``steady_state``
-    records one row per round, and ``result()`` returns the series of the
-    rounds run so far.  ``backend`` swaps in other round kernels with the
-    same contract as ``get_backend()``'s.
+    the three phases are also callable individually, each taking what the
+    one before returns: the head ids, then the clusters ``(ch_ids, members,
+    nearest)``.  ``steady_state`` records one row per round, and
+    ``result()`` returns the series of the rounds run so far.  ``backend``
+    swaps in other round kernels with the same contract as
+    ``get_backend()``'s.
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -141,27 +143,28 @@ class Simulation:
             P_MAX,
         )
 
-    def form_clusters(self, ch_ids: np.ndarray) -> np.ndarray:
-        """Assign every alive non-head node to its nearest head (ties to the
-        lower head id); with no heads, mark every alive node direct-to-BS."""
-        return self.kernels.assign(self.x, self.y, self.alive, ch_ids)
+    def form_clusters(self, ch_ids: np.ndarray) -> tuple:
+        """The round's clusters ``(ch_ids, members, nearest)``: the heads,
+        the ascending ids of the other alive nodes, and each member's
+        nearest head id (ties to the lower id).  With no heads every alive
+        node is a member that uplinks directly, and ``nearest`` is empty."""
+        return (ch_ids, *self.kernels.assign(self.x, self.y, self.alive, ch_ids))
 
-    def steady_state(self, assignment_codes: np.ndarray) -> None:
-        """Charge the round's transfers, apply deaths, record the round's
-        row and advance the round.  Only nodes that die overdraw, so the
-        overdraft is 0.0 on rounds without a death."""
-        charge, overdraft, packets_to_bs, packets_to_ch, ch_ids = self.kernels.steady(
-            self.x, self.y, self.tx_bs, self.residual, self.alive, assignment_codes,
+    def steady_state(self, clusters: tuple) -> None:
+        """Charge the transfers of ``form_clusters``' clusters, apply
+        deaths, record the round's row and advance the round.  Only nodes
+        that die overdraw, so the overdraft is 0.0 on rounds without a
+        death."""
+        charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
+            self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
             *self._radio_args,
         )
-        self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, ch_ids.size))
+        self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, clusters[0].size))
         self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))
         self.round += 1
 
     def step(self) -> None:
-        ch_ids = self.elect_cluster_heads()
-        codes = self.form_clusters(ch_ids)
-        self.steady_state(codes)
+        self.steady_state(self.form_clusters(self.elect_cluster_heads()))
 
     def result(self) -> SimResult:
         """The series of the rounds run so far; packet counts cumulative."""
@@ -189,6 +192,8 @@ class Simulation:
 def run(config: NetworkConfig, backend: Backend | None = None) -> SimResult:
     """Simulate until every node is dead or the round cap is reached."""
     sim = Simulation(config, backend)
-    while sim.round < config.max_rounds and sim.alive.any():
+    while sim.round < config.max_rounds:
         sim.step()
+        if sim._counts[-1][0] == 0:  # the alive count the round recorded
+            break
     return sim.result()

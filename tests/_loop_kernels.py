@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from deecsim._kernels import _EPOCH_LIMIT, ASSIGN_CH, ASSIGN_DIRECT_BS, ASSIGN_NONE, Backend
+from deecsim._kernels import _EPOCH_LIMIT, Backend
 
 
 def _elect_loop(residual, alive, ineligible_until, u, rnd,
@@ -49,17 +49,16 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd,
 
 def _assign_loop(x, y, alive, ch_ids):
     n = x.shape[0]
-    codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
-    if ch_ids.size == 0:
-        for i in range(n):
-            if alive[i]:
-                codes[i] = ASSIGN_DIRECT_BS
-        return codes
+    is_head = np.zeros(n, dtype=np.bool_)
     for j in range(ch_ids.size):
-        codes[ch_ids[j]] = ASSIGN_CH
+        is_head[ch_ids[j]] = True
+    members = np.empty(n, dtype=np.int64)
+    nearest = np.empty(n, dtype=np.int64)
+    k = 0
     for i in range(n):
-        if not alive[i] or codes[i] == ASSIGN_CH:
+        if not alive[i] or is_head[i]:
             continue
+        members[k] = i
         best = -1
         best_d2 = np.inf
         for j in range(ch_ids.size):
@@ -70,46 +69,45 @@ def _assign_loop(x, y, alive, ch_ids):
             if d2 < best_d2:
                 best_d2 = d2
                 best = c
-        codes[i] = best
-    return codes
+        nearest[k] = best
+        k += 1
+    return members[:k], nearest[:k if ch_ids.size else 0]
 
 
-def _steady_loop(x, y, tx_bs, residual, alive, codes,
+def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
                  bits, e_elec, eps_fs, eps_mp, e_da, d0):
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
     overdraft = np.zeros(n, dtype=np.float64)
     member_count = np.zeros(n, dtype=np.int64)
-    heads = np.empty(n, dtype=np.int64)
     electronics = bits * e_elec
     packets_to_ch = 0
     packets_to_bs = 0
 
-    for i in range(n):
-        code = codes[i]
-        if code >= 0:
-            dx = x[i] - x[code]
-            dy = y[i] - y[code]
-            d = math.sqrt(dx * dx + dy * dy)
-            d2 = d * d
-            if d < d0:
-                charge[i] = electronics + bits * eps_fs * d2
-            else:
-                charge[i] = electronics + bits * eps_mp * (d2 * d2)
-            member_count[code] += 1
-            packets_to_ch += 1
-        elif code == ASSIGN_DIRECT_BS:
+    if ch_ids.size == 0:
+        for i in members:
             charge[i] = tx_bs[i]
             packets_to_bs += 1
 
-    k = 0
-    for i in range(n):
-        if codes[i] == ASSIGN_CH:
-            counts = np.float64(member_count[i])
-            charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[i]
-            packets_to_bs += 1
-            heads[k] = i
-            k += 1
+    for k in range(nearest.size):
+        i = members[k]
+        c = nearest[k]
+        dx = x[i] - x[c]
+        dy = y[i] - y[c]
+        d = math.sqrt(dx * dx + dy * dy)
+        d2 = d * d
+        if d < d0:
+            charge[i] = electronics + bits * eps_fs * d2
+        else:
+            charge[i] = electronics + bits * eps_mp * (d2 * d2)
+        member_count[c] += 1
+        packets_to_ch += 1
+
+    for j in range(ch_ids.size):
+        i = ch_ids[j]
+        counts = np.float64(member_count[i])
+        charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[i]
+        packets_to_bs += 1
 
     for i in range(n):
         if not alive[i]:
@@ -122,7 +120,7 @@ def _steady_loop(x, y, tx_bs, residual, alive, codes,
         else:
             residual[i] = remaining
 
-    return charge, overdraft, packets_to_bs, packets_to_ch, heads[:k]
+    return charge, overdraft, packets_to_bs, packets_to_ch
 
 
 LOOP_KERNELS = Backend("loop", _elect_loop, _assign_loop, _steady_loop)

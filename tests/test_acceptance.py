@@ -203,25 +203,25 @@ def test_criterion_6_energy_ledger(spec):
     for _ in range(300):
         res_before = sim.residual.copy()
         ch_ids = sim.elect_cluster_heads()
-        codes = sim.form_clusters(ch_ids)
-        members = {}
+        clusters = sim.form_clusters(ch_ids)
+        _, members, nearest = (ids.tolist() for ids in clusters)
+        counts = {}
         charges = np.zeros(config.n)
-        for i in range(config.n):
-            code = int(codes[i])
-            if code >= 0:
-                d = distance((sim.x[i], sim.y[i]), (sim.x[code], sim.y[code]))
-                charges[i] = tx_energy(bits, d, config.radio)
-                members[code] = members.get(code, 0) + 1
-            elif code == -1:
+        for i, c in zip(members, nearest):
+            d = distance((sim.x[i], sim.y[i]), (sim.x[c], sim.y[c]))
+            charges[i] = tx_energy(bits, d, config.radio)
+            counts[c] = counts.get(c, 0) + 1
+        if not ch_ids.size:
+            for i in members:
                 charges[i] = tx_energy(bits, float(sim.dist_to_bs[i]), config.radio)
         for c in ch_ids:
-            k = members.get(int(c), 0)
+            k = counts.get(int(c), 0)
             charges[c] = (
                 k * rx_energy(bits, config.radio)
                 + aggregation_energy(bits, k + 1, config.radio)
                 + tx_energy(bits, float(sim.dist_to_bs[c]), config.radio)
             )
-        sim.steady_state(codes)
+        sim.steady_state(clusters)
         totals.append(float(charges.sum()))
         drops.append(float(res_before.sum() - sim.residual.sum()))
     oracle_worst = 0.0

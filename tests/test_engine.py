@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import math
@@ -14,9 +15,6 @@ from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop, _steady_loop
 
 from deecsim import _kernels
 from deecsim import (
-    ASSIGN_CH,
-    ASSIGN_DIRECT_BS,
-    ASSIGN_NONE,
     RADIO_PROFILES,
     FieldGeometry,
     HeterogeneityParams,
@@ -181,27 +179,26 @@ class TestElection:
 class TestFormClusters:
     def test_single_head_takes_all(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
-        codes = sim.form_clusters(np.array([7], dtype=np.int64))
-        assert codes[7] == ASSIGN_CH
-        members = np.flatnonzero(codes >= 0)
+        ch_ids, members, nearest = sim.form_clusters(np.array([7], dtype=np.int64))
+        assert ch_ids.tolist() == [7] and 7 not in members
         assert len(members) == 99
-        assert (codes[members] == 7).all()
+        assert (nearest == 7).all()
 
     def test_tie_breaks_to_lower_id(self, kernels):
         sim = Simulation(tiny_config(n=4, e0=0.5), backend=kernels)
         sim.x[:] = [0.0, 10.0, 10.0, 5.0]
         sim.y[:] = [0.0, 0.0, 10.0, 20.0]
         # node 0 is equidistant (10 m) from heads 1 and 2
-        codes = sim.form_clusters(np.array([1, 2], dtype=np.int64))
-        assert codes[0] == 1
+        _, members, nearest = sim.form_clusters(np.array([1, 2], dtype=np.int64))
+        assert members[0] == 0 and nearest[0] == 1
 
     def test_no_heads_means_direct(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
         sim.alive[3] = False
-        codes = sim.form_clusters(np.array([], dtype=np.int64))
-        assert codes[3] == ASSIGN_NONE
-        alive = np.flatnonzero(sim.alive)
-        assert (codes[alive] == ASSIGN_DIRECT_BS).all()
+        _, members, nearest = sim.form_clusters(np.array([], dtype=np.int64))
+        assert 3 not in members
+        assert np.array_equal(members, np.flatnonzero(sim.alive))
+        assert nearest.size == 0
 
 
 def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
@@ -225,8 +222,10 @@ def _pairs(alive, ch_ids):
 
 def _assert_matches_brute_force(x, y, alive, ch_ids):
     # the loop reference visits every head in id order
-    expected = _assign_loop(x, y, alive, ch_ids)
-    assert np.array_equal(_kernels._assign_numpy(x, y, alive, ch_ids), expected)
+    members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+    expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids)
+    assert np.array_equal(members, expected_members)
+    assert np.array_equal(nearest, expected_nearest)
 
 
 # the tiled path at layouts small enough for the pure-Python reference
@@ -313,9 +312,9 @@ class TestAssignExactness:
         alive = np.ones(x.size, dtype=bool)
         ch_ids = np.arange(32, dtype=np.int64)
         with _always_tiled:
-            codes = _kernels._assign_numpy(x, y, alive, ch_ids)
+            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
             _assert_matches_brute_force(x, y, alive, ch_ids)
-        assert codes[32] == 0
+        assert members[0] == 32 and nearest[0] == 0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
            heads=st.integers(0, 40), dead_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
@@ -325,6 +324,24 @@ class TestAssignExactness:
         with _always_tiled:
             _assert_matches_brute_force(x, y, alive, ch_ids)
             _assert_matches_brute_force(x, y, alive, ch_ids[:1])
+
+    @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           heads=st.one_of(st.just(0), st.just(1), st.integers(32, 60)),
+           dead_frac=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_clusters_partition_the_alive_nodes(self, tiled, seed, n, heads, dead_frac):
+        # 32 or more heads give the tiled search at least 2 x 2 tiles
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        with _always_tiled if tiled else contextlib.nullcontext():
+            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+        assert members.dtype == nearest.dtype == np.int64
+        assert np.intersect1d(members, ch_ids).size == 0
+        assert np.array_equal(np.union1d(members, ch_ids), np.flatnonzero(alive))
+        assert (np.diff(members) > 0).all()
+        assert np.isin(nearest, ch_ids).all()
+        # one head per member, and none on rounds without heads
+        assert nearest.size == (members.size if ch_ids.size else 0)
 
     def test_dense_5k_run_matches_dense_block(self, het_sec3, geometry_100):
         config = NetworkConfig(
@@ -336,20 +353,20 @@ class TestAssignExactness:
             ch_ids = sim.elect_cluster_heads()
             spy = mock.patch.object(_kernels, "_nearest_dense", wraps=_kernels._nearest_dense)
             with spy as dense:
-                codes = sim.form_clusters(ch_ids)
+                clusters = sim.form_clusters(ch_ids)
+            _, members, nearest = clusters
             member = sim.alive.copy()
             member[ch_ids] = False
             mi = np.flatnonzero(member)
             # tiled: no distance block comes near the full members x heads one
             blocks = [call.args[0].size * call.args[2].size for call in dense.call_args_list]
             assert max(blocks) * 20 < mi.size * ch_ids.size
-            expected = np.full(config.n, ASSIGN_NONE, dtype=np.int64)
-            expected[ch_ids] = ASSIGN_CH
-            expected[mi] = _kernels._nearest_dense(
+            expected = _kernels._nearest_dense(
                 sim.x[mi], sim.y[mi], sim.x[ch_ids], sim.y[ch_ids], ch_ids
             )
-            assert np.array_equal(codes, expected), sim.round
-            sim.steady_state(codes)
+            assert np.array_equal(members, mi), sim.round
+            assert np.array_equal(nearest, expected), sim.round
+            sim.steady_state(clusters)
 
 
 @st.composite
@@ -450,21 +467,17 @@ class TestTileKeys:
 @st.composite
 def steady_cases(draw):
     """Inputs of one steady-state round: members of random alive heads, lone
-    heads, direct nodes and dead nodes, with each alive node's residual set
-    below, at, just above or well above its charge, so that deaths,
-    overdraft and exactly-zero remainders occur."""
+    heads, direct nodes on rounds without heads and dead nodes, with each
+    alive node's residual set below, at, just above or well above its
+    charge, so that deaths, overdraft and exactly-zero remainders occur."""
     n = draw(st.integers(1, 40))
-    roles = draw(st.lists(st.sampled_from(["head", "member", "direct", "dead"]),
+    roles = draw(st.lists(st.sampled_from(["head", "member", "dead"]),
                           min_size=n, max_size=n))
+    if draw(st.booleans()):  # a round without heads: the members uplink directly
+        roles = ["member" if role == "head" else role for role in roles]
     heads = [i for i, role in enumerate(roles) if role == "head"]
-    codes = np.full(n, ASSIGN_NONE, dtype=np.int64)
-    for i, role in enumerate(roles):
-        if role == "head":
-            codes[i] = ASSIGN_CH
-        elif role == "member" and heads:
-            codes[i] = draw(st.sampled_from(heads))
-        elif role != "dead":
-            codes[i] = ASSIGN_DIRECT_BS
+    members = [i for i, role in enumerate(roles) if role == "member"]
+    nearest = [draw(st.sampled_from(heads)) for _ in members] if heads else []
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # a 200 m field puts member links and BS links on both sides of d0 = 70 m
     x = rng.random(n) * 200.0
@@ -474,7 +487,9 @@ def steady_cases(draw):
                                LEACH.eps_fs, LEACH.eps_mp, LEACH.d0)
     case = {
         "x": x, "y": y, "tx_bs": tx_bs,
-        "residual": np.zeros(n), "alive": codes != ASSIGN_NONE, "codes": codes,
+        "residual": np.zeros(n), "alive": np.array([role != "dead" for role in roles]),
+        "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
+        "nearest": np.array(nearest, dtype=np.int64),
         "bits": bits, "e_elec": LEACH.e_elec, "eps_fs": LEACH.eps_fs,
         "eps_mp": LEACH.eps_mp, "e_da": LEACH.e_da, "d0": LEACH.d0,
     }
@@ -499,10 +514,9 @@ class TestSteadyKernels:
             warnings.simplefilter("error")
             returned, residual, alive = _steady(_kernels._steady_numpy, case)
         expected, expected_residual, expected_alive = _steady(_steady_loop, case)
-        assert len(returned) == len(expected) == 5
+        assert len(returned) == len(expected) == 4
         for got, want in zip(returned, expected):
             assert np.array_equal(got, want)
-        assert returned[4].dtype == np.int64
         assert np.array_equal(residual, expected_residual)
         assert np.array_equal(alive, expected_alive)
 
@@ -530,40 +544,38 @@ class TestLoopFlavorParity:
 
 
 class TestSteadyState:
-    def _charges_oracle(self, sim, codes):
+    def _charges_oracle(self, sim, clusters):
         """Recompute every node's round charge from the public scalar model."""
         radio = sim.config.radio
         bits = radio.message_bits
         bs = sim.config.geometry.bs_position
-        n = sim.config.n
-        charges = np.zeros(n)
-        members = {}
-        for i in range(n):
-            code = int(codes[i])
-            if code >= 0:
-                d = distance((sim.x[i], sim.y[i]), (sim.x[code], sim.y[code]))
-                charges[i] = tx_energy(bits, d, radio)
-                members[code] = members.get(code, 0) + 1
-            elif code == ASSIGN_DIRECT_BS:
+        ch_ids, members, nearest = (ids.tolist() for ids in clusters)
+        charges = np.zeros(sim.config.n)
+        counts = {}
+        for i, c in zip(members, nearest):
+            d = distance((sim.x[i], sim.y[i]), (sim.x[c], sim.y[c]))
+            charges[i] = tx_energy(bits, d, radio)
+            counts[c] = counts.get(c, 0) + 1
+        if not ch_ids:
+            for i in members:
                 d = distance((sim.x[i], sim.y[i]), bs)
                 charges[i] = tx_energy(bits, d, radio)
-        for i in range(n):
-            if int(codes[i]) == ASSIGN_CH:
-                k = members.get(i, 0)
-                d = distance((sim.x[i], sim.y[i]), bs)
-                charges[i] = (
-                    k * rx_energy(bits, radio)
-                    + aggregation_energy(bits, k + 1, radio)
-                    + tx_energy(bits, d, radio)
-                )
+        for i in ch_ids:
+            k = counts.get(i, 0)
+            d = distance((sim.x[i], sim.y[i]), bs)
+            charges[i] = (
+                k * rx_energy(bits, radio)
+                + aggregation_energy(bits, k + 1, radio)
+                + tx_energy(bits, d, radio)
+            )
         return charges
 
     def test_lone_head_without_members(self, kernels):
         sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
         sim.alive[:] = [True, False, False]
-        codes = sim.form_clusters(np.array([0], dtype=np.int64))
+        clusters = sim.form_clusters(np.array([0], dtype=np.int64))
         before = sim.residual.copy()
-        sim.steady_state(codes)
+        sim.steady_state(clusters)
         result = sim.result()
         assert result.packets_bs.tolist() == [1] and result.packets_ch.tolist() == [0]
         radio = sim.config.radio
@@ -573,9 +585,9 @@ class TestSteadyState:
 
     def test_head_with_two_members(self, kernels):
         sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
-        codes = sim.form_clusters(np.array([1], dtype=np.int64))
+        clusters = sim.form_clusters(np.array([1], dtype=np.int64))
         before = sim.residual.copy()
-        sim.steady_state(codes)
+        sim.steady_state(clusters)
         result = sim.result()
         assert result.packets_bs.tolist() == [1] and result.packets_ch.tolist() == [2]
         radio = sim.config.radio
@@ -591,11 +603,12 @@ class TestSteadyState:
         # three direct nodes paying tx_bs = 0.25 J from residuals above, at
         # and below it, and one node dead at round start; dyadic values keep
         # every difference exact
-        codes = np.array([ASSIGN_DIRECT_BS] * 3 + [ASSIGN_NONE], dtype=np.int64)
+        no_heads = np.array([], dtype=np.int64)
         residual = np.array([1.0, 0.25, 0.125, 0.0])
-        alive = codes != ASSIGN_NONE
-        charge, overdraft, to_bs, to_ch, heads = kernels.steady(
-            np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive, codes,
+        alive = np.array([True, True, True, False])
+        charge, overdraft, to_bs, to_ch = kernels.steady(
+            np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
+            no_heads, np.array([0, 1, 2]), no_heads,
             4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
         )
         assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
@@ -604,7 +617,7 @@ class TestSteadyState:
         assert residual.tolist() == [0.75, 0.0, 0.0, 0.0]
         assert alive.tolist() == [True, False, False, False]
         assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
-        assert (to_bs, to_ch, heads.size) == (3, 0, 0)
+        assert (to_bs, to_ch) == (3, 0)
 
     def test_ledger_closes_every_round(self, config_sec3, kernels):
         # independent oracle: recompute all charges through the scalar model
@@ -616,9 +629,9 @@ class TestSteadyState:
                 break
             before = sim.residual.copy()
             ch = sim.elect_cluster_heads()
-            codes = sim.form_clusters(ch)
-            totals.append(float(self._charges_oracle(sim, codes).sum()))
-            sim.steady_state(codes)
+            clusters = sim.form_clusters(ch)
+            totals.append(float(self._charges_oracle(sim, clusters).sum()))
+            sim.steady_state(clusters)
             drops.append(float(before.sum() - sim.residual.sum()))
         result = sim.result()
         assert result.rounds == len(totals)
@@ -668,9 +681,10 @@ class TestRun:
             if sim.alive_count() == 0:
                 break
             ch_ids = sim.elect_cluster_heads()
-            codes = sim.form_clusters(ch_ids)
-            sim.steady_state(codes)
-            assert (codes[seen_dead] == ASSIGN_NONE).all()
+            clusters = sim.form_clusters(ch_ids)
+            sim.steady_state(clusters)
+            _, members, _ = clusters
+            assert not np.any(seen_dead[members])
             assert not np.any(seen_dead[ch_ids])
             seen_dead |= ~sim.alive
         assert seen_dead.any()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from deecsim import (
-    ASSIGN_DIRECT_BS,
     RADIO_PROFILES,
     FieldGeometry,
     RadioParams,
@@ -103,9 +102,10 @@ class TestDeduct:
     def _charge(self, residual, cost):
         residual = np.array([residual])
         alive = np.array([True])
+        no_heads = np.array([], dtype=np.int64)
         charge, overdraft, *_ = get_backend().steady(
             np.zeros(1), np.zeros(1), np.array([cost]), residual, alive,
-            np.array([ASSIGN_DIRECT_BS], dtype=np.int64),
+            no_heads, np.array([0]), no_heads,
             4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
         )
         assert charge[0] == cost
