@@ -13,6 +13,16 @@ The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
 of those heads, and the steady kernel charges from the three.
 
+Nodes never move during a run.  So for ``n <= _PAIR_TABLE_MAX_NODES`` the
+engine builds two (n, n) pair tables once per run (:func:`_pair_tables`):
+every pair's squared distance ``d2`` and member-to-head hop cost ``hop``.
+The assignment then reads its members x heads block from ``d2`` and calls
+neither :func:`_nearest_dense` nor :func:`_nearest_tiled`, and the steady
+kernel charges members from ``hop``.  The runs stay bit-identical: each
+entry is the elementwise IEEE expression the kernels evaluate without a
+table, IEEE subtraction is exactly antisymmetric so ``d2`` is
+bit-symmetric, and ``argmin`` still sees the heads in ascending id order.
+
 A :class:`Backend` bundles the three; :func:`get_backend` returns the only
 set, named ``"numpy"``.  ``Simulation`` accepts another ``Backend`` with the
 same signatures and return values; the test suite passes one-node-at-a-time
@@ -100,18 +110,43 @@ def _head_charge(members, tx_bs, bits, e_elec, e_da):
     return members * (bits * e_elec) + bits * e_da * (members + 1.0) + tx_bs
 
 
+def _squared_distances(ax, ay, bx, by):
+    """The (a, b) block of ``dx*dx + dy*dy``, built in two buffers."""
+    d2 = np.subtract.outer(ax, bx)
+    d2 *= d2
+    dy2 = np.subtract.outer(ay, by)
+    dy2 *= dy2
+    d2 += dy2
+    return d2
+
+
 def _nearest_dense(mx, my, hx, hy, ids):
     """Id of every member's nearest head, over the full members x heads block.
 
     ``argmin`` keeps the first head in ``ids`` order on ties, which is the
     lowest id because callers pass heads in ascending id order.
     """
-    d2 = np.subtract.outer(mx, hx)
-    d2 *= d2
-    dy2 = np.subtract.outer(my, hy)
-    dy2 *= dy2
-    d2 += dy2
-    return ids[d2.argmin(axis=1)]
+    return ids[_squared_distances(mx, my, hx, hy).argmin(axis=1)]
+
+
+# Largest n whose runs get pair tables.  They hold 16 * n**2 bytes (4.2 MB
+# at 512) and take 0.2-1.5 ms to build at n = 100, 10 ms at n = 512 and
+# 30 ms at n = 700.  Measured on engine rounds (2-core x86-64, numpy 2.4),
+# assign + steady took 37 us a round with tables against 61 us without at
+# n = 100, 111 against 155 us at n = 512, and the tables still won at
+# n = 700; so the cutoff is set by memory and build time, not speed.
+_PAIR_TABLE_MAX_NODES = 512
+
+
+def _pair_tables(x, y, bits, e_elec, eps_fs, eps_mp, d0):
+    """The (n, n) tables ``(d2, hop)`` of every node pair ``(i, j)``.
+
+    ``d2[i, j]`` is ``_squared_distances``' entry for the pair and
+    ``hop[i, j]`` the ``_transmit`` cost of a packet over its distance.
+    Both tables are symmetric bit for bit.
+    """
+    d2 = _squared_distances(x, y, x, y)
+    return d2, _transmit(np.sqrt(d2), bits, e_elec, eps_fs, eps_mp, d0)
 
 
 # Members x heads work below which one dense block beats the tiled search
@@ -210,7 +245,7 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     return out
 
 
-def _assign_numpy(x, y, alive, ch_ids):
+def _assign_numpy(x, y, alive, ch_ids, d2=None):
     """Nearest-head cluster assignment, ties to the lower head id.
 
     Returns ``(members, nearest)``: the ascending ids of the alive nodes
@@ -218,13 +253,16 @@ def _assign_numpy(x, y, alive, ch_ids):
     ``members`` is every alive node, each uplinking straight to the BS, and
     ``nearest`` is empty.
 
-    Below ``_TILE_MIN_PAIRS`` members x heads one dense block of squared
-    distances decides.  Above it the members are bucketed into T x T square
-    tiles, T = floor(sqrt(heads / 8)), and each tile searches only the heads
-    within a half-tile margin of it; members whose nearest head may lie
-    farther out fall back to all heads (``_nearest_tiled`` gives the
-    exactness argument).  Both paths evaluate the same ``dx*dx + dy*dy``
-    and keep the lowest head id on ties, so they return identical heads.
+    Given ``_pair_tables``' ``d2``, the members x heads block is read from
+    it (the heads' rows, transposed, at the members) and no distance is
+    computed.  Without it, below ``_TILE_MIN_PAIRS`` members x heads one
+    dense block of squared distances decides.  Above it the members are
+    bucketed into T x T square tiles, T = floor(sqrt(heads / 8)), and each
+    tile searches only the heads within a half-tile margin of it; members
+    whose nearest head may lie farther out fall back to all heads
+    (``_nearest_tiled`` gives the exactness argument).  All three paths
+    evaluate the same ``dx*dx + dy*dy`` and keep the lowest head id on
+    ties, so they return identical heads.
 
     The 40k-pair crossover was measured on engine rounds at n = 300..1000
     on the paper's 100 m field (2-core x86-64, numpy 2.4): between about
@@ -240,6 +278,8 @@ def _assign_numpy(x, y, alive, ch_ids):
     members = member.nonzero()[0]
     if ch_ids.size == 0 or members.size == 0:
         return members, ch_ids[:0]
+    if d2 is not None:
+        return members, ch_ids[d2[ch_ids].T[members].argmin(axis=1)]
     mx, my, hx, hy = x[members], y[members], x[ch_ids], y[ch_ids]
     nearest = None
     if members.size * ch_ids.size >= _TILE_MIN_PAIRS:
@@ -250,13 +290,14 @@ def _assign_numpy(x, y, alive, ch_ids):
 
 
 def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                  bits, e_elec, eps_fs, eps_mp, e_da, d0):
+                  bits, e_elec, eps_fs, eps_mp, e_da, d0, hop=None):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
     ``_assign_numpy``'s result.  Each member transmits to its nearest head
-    over the actual distance and each head pays ``_head_charge``; on rounds
-    without heads each member uplinks directly and pays ``tx_bs``.
+    over the actual distance (read from ``_pair_tables``' ``hop`` when it
+    is given) and each head pays ``_head_charge``; on rounds without heads
+    each member uplinks directly and pays ``tx_bs``.
     Nodes complete the round's action even when it kills them (clamped at
     zero; the shortfall is reported as overdraft).  Returns per-node charge
     and overdraft and the packet counts to the BS and to heads.
@@ -264,12 +305,15 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
     if ch_ids.size:
-        d = x[members] - x[nearest]
-        d *= d
-        dy2 = y[members] - y[nearest]
-        dy2 *= dy2
-        d += dy2
-        charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
+        if hop is not None:
+            charge[members] = hop[members, nearest]
+        else:
+            d = x[members] - x[nearest]
+            d *= d
+            dy2 = y[members] - y[nearest]
+            dy2 *= dy2
+            d += dy2
+            charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
         counts = np.bincount(nearest, minlength=n)[ch_ids]
         charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], bits, e_elec, e_da)
         packets_to_bs, packets_to_ch = ch_ids.size, members.size
@@ -290,7 +334,13 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
 
 @dataclass(frozen=True)
 class Backend:
-    """The three round kernels ``Simulation`` calls, under a reported name."""
+    """The three round kernels ``Simulation`` calls, under a reported name.
+
+    ``assign`` takes the run's ``d2`` pair table as its last argument and
+    ``steady`` its ``hop`` table, each ``None`` above
+    ``_PAIR_TABLE_MAX_NODES``; a kernel set may ignore them, as the tables
+    hold only what the coordinates give.
+    """
 
     name: str
     elect: Callable

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import Backend, _transmit, get_backend
+from ._kernels import _PAIR_TABLE_MAX_NODES, Backend, _pair_tables, _transmit, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
@@ -60,6 +60,14 @@ class Simulation:
     ``result()`` returns the series of the rounds run so far.  ``backend``
     swaps in other round kernels with the same contract as
     ``get_backend()``'s.
+
+    Node positions ``x`` and ``y`` are fixed for the run and read-only.
+    Up to ``_PAIR_TABLE_MAX_NODES`` nodes the constructor also builds the
+    run's pair tables ``pair_d2`` (squared distances) and ``pair_hop``
+    (member-to-head transmit costs), 16 * n**2 bytes in all, and the round
+    kernels read distances and hop costs from them; above it both are
+    ``None`` and the kernels compute from the coordinates.  Either way a
+    run's numbers are the same bits (see ``_kernels``).
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -72,6 +80,8 @@ class Simulation:
         positions = self.rng.random((n, 2)) * side
         self.x = np.ascontiguousarray(positions[:, 0])
         self.y = np.ascontiguousarray(positions[:, 1])
+        # the pair tables and tx_bs are computed from these once
+        self.x.flags.writeable = self.y.flags.writeable = False
 
         counts = config.het.class_counts(n)
         node_class = np.repeat(np.arange(3, dtype=np.int8), counts)
@@ -108,6 +118,11 @@ class Simulation:
             self.dist_to_bs, bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0
         )
         self._radio_args = (bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.e_da, radio.d0)
+        self.pair_d2 = self.pair_hop = None
+        if n <= _PAIR_TABLE_MAX_NODES:
+            self.pair_d2, self.pair_hop = _pair_tables(
+                self.x, self.y, bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0
+            )
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)
         # and (residual, charged, overdraft) in joules
@@ -148,7 +163,7 @@ class Simulation:
         the ascending ids of the other alive nodes, and each member's
         nearest head id (ties to the lower id).  With no heads every alive
         node is a member that uplinks directly, and ``nearest`` is empty."""
-        return (ch_ids, *self.kernels.assign(self.x, self.y, self.alive, ch_ids))
+        return (ch_ids, *self.kernels.assign(self.x, self.y, self.alive, ch_ids, self.pair_d2))
 
     def steady_state(self, clusters: tuple) -> None:
         """Charge the transfers of ``form_clusters``' clusters, apply
@@ -157,7 +172,7 @@ class Simulation:
         death."""
         charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
             self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
-            *self._radio_args,
+            *self._radio_args, self.pair_hop,
         )
         self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, clusters[0].size))
         self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))

@@ -3,7 +3,10 @@
 Each function takes the arguments of its counterpart in
 ``deecsim._kernels`` and returns the same values, evaluating the same
 floating-point expressions in the same order, so a run on ``LOOP_KERNELS``
-is bit-identical to a run on the default kernels.  The tests use them as
+is bit-identical to a run on the default kernels.  The pair tables that
+``_assign_numpy`` and ``_steady_numpy`` read are accepted and ignored:
+the loops recompute every distance and hop cost from the coordinates, so
+the parity tests hold the tables to the scalar law.  The tests use them as
 the oracle for the vectorized kernels; they are far too slow to run
 experiments with.
 """
@@ -47,7 +50,7 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd,
     return heads[:k]
 
 
-def _assign_loop(x, y, alive, ch_ids):
+def _assign_loop(x, y, alive, ch_ids, d2=None):
     n = x.shape[0]
     is_head = np.zeros(n, dtype=np.bool_)
     for j in range(ch_ids.size):
@@ -75,7 +78,7 @@ def _assign_loop(x, y, alive, ch_ids):
 
 
 def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                 bits, e_elec, eps_fs, eps_mp, e_da, d0):
+                 bits, e_elec, eps_fs, eps_mp, e_da, d0, hop=None):
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
     overdraft = np.zeros(n, dtype=np.float64)

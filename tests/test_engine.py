@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from _golden import GOLDEN, digest, fast_runs
 from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop, _steady_loop
 
-from deecsim import _kernels
+from deecsim import _kernels, engine
 from deecsim import (
     RADIO_PROFILES,
     FieldGeometry,
@@ -185,12 +185,20 @@ class TestFormClusters:
         assert (nearest == 7).all()
 
     def test_tie_breaks_to_lower_id(self, kernels):
-        sim = Simulation(tiny_config(n=4, e0=0.5), backend=kernels)
-        sim.x[:] = [0.0, 10.0, 10.0, 5.0]
-        sim.y[:] = [0.0, 0.0, 10.0, 20.0]
-        # node 0 is equidistant (10 m) from heads 1 and 2
-        _, members, nearest = sim.form_clusters(np.array([1, 2], dtype=np.int64))
-        assert members[0] == 0 and nearest[0] == 1
+        x = np.array([0.0, 10.0, 0.0, 5.0])
+        y = np.array([0.0, 0.0, 10.0, 20.0])
+        alive = np.ones(4, dtype=np.bool_)
+        # node 0 is equidistant (10 m) from heads 1 and 2; node 3 is nearer 2
+        for d2 in (None, _kernels._squared_distances(x, y, x, y)):
+            members, nearest = kernels.assign(x, y, alive, np.array([1, 2]), d2)
+            assert members.tolist() == [0, 3] and nearest.tolist() == [1, 2]
+
+    def test_positions_are_read_only(self, config_sec3):
+        # the pair tables and tx_bs are computed from them once per run
+        sim = Simulation(config_sec3())
+        for coordinate in (sim.x, sim.y):
+            with pytest.raises(ValueError, match="read-only"):
+                coordinate[0] = 0.0
 
     def test_no_heads_means_direct(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
@@ -199,6 +207,33 @@ class TestFormClusters:
         assert 3 not in members
         assert np.array_equal(members, np.flatnonzero(sim.alive))
         assert nearest.size == 0
+
+
+class TestPairTables:
+    def test_memory_guard_at_the_cutoff(self, config_sec3):
+        n = _kernels._PAIR_TABLE_MAX_NODES
+        sim = Simulation(dataclasses.replace(config_sec3(), n=n))
+        assert sim.pair_d2.shape == sim.pair_hop.shape == (n, n)
+        assert sim.pair_d2.nbytes + sim.pair_hop.nbytes == 16 * n**2
+        over = Simulation(dataclasses.replace(config_sec3(), n=n + 1))
+        assert over.pair_d2 is None and over.pair_hop is None
+
+    def test_tables_are_the_kernels_expressions(self, config_sec3):
+        sim = Simulation(config_sec3(radio="table1-verbatim"))
+        d2, hop = sim.pair_d2, sim.pair_hop
+        # bit-symmetric, so d2[heads].T[members] is the members x heads block
+        assert np.array_equal(d2, d2.T) and np.array_equal(hop, hop.T)
+        rows, cols = np.arange(0, 100, 3), np.arange(1, 100, 7)
+        assert np.array_equal(
+            d2[np.ix_(rows, cols)],
+            _kernels._squared_distances(sim.x[rows], sim.y[rows], sim.x[cols], sim.y[cols]),
+        )
+        radio = sim.config.radio
+        d = np.sqrt(d2)
+        assert (d < radio.d0).any() and (d >= radio.d0).any()  # both branches of the law
+        assert np.array_equal(hop, _kernels._transmit(
+            d, float(radio.message_bits), radio.e_elec, radio.eps_fs,
+            radio.eps_mp, radio.d0))
 
 
 def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
@@ -220,12 +255,20 @@ def _pairs(alive, ch_ids):
     return (int(alive.sum()) - ch_ids.size) * ch_ids.size
 
 
+def _pair_tables(x, y, radio=LEACH):
+    return _kernels._pair_tables(x, y, float(radio.message_bits), radio.e_elec,
+                                 radio.eps_fs, radio.eps_mp, radio.d0)
+
+
 def _assert_matches_brute_force(x, y, alive, ch_ids):
     # the loop reference visits every head in id order
-    members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
     expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids)
-    assert np.array_equal(members, expected_members)
-    assert np.array_equal(nearest, expected_nearest)
+    # with the pair table too; it needs neither the dense nor the tiled search
+    d2 = _kernels._squared_distances(x, y, x, y)
+    for table in (None, d2):
+        members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, table)
+        assert np.array_equal(members, expected_members)
+        assert np.array_equal(nearest, expected_nearest)
 
 
 # the tiled path at layouts small enough for the pure-Python reference
@@ -324,6 +367,24 @@ class TestAssignExactness:
         with _always_tiled:
             _assert_matches_brute_force(x, y, alive, ch_ids)
             _assert_matches_brute_force(x, y, alive, ch_ids[:1])
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           heads=st.one_of(st.just(0), st.just(1), st.integers(2, 60)),
+           lattice=st.sampled_from([None, 1.0, 10.0]), side=st.sampled_from([10.0, 200.0]),
+           dead_frac=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_pair_table_equals_coordinates(self, seed, n, heads, lattice, side, dead_frac):
+        # lattice ties, shared positions, dead nodes and rounds without heads
+        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice,
+                                             dead_frac=dead_frac)
+        d2, _ = _pair_tables(x, y)
+        searched = AssertionError("the table path searched")
+        with (mock.patch.object(_kernels, "_nearest_dense", side_effect=searched),
+              mock.patch.object(_kernels, "_nearest_tiled", side_effect=searched)):
+            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, d2)
+        expected_members, expected_nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+        assert np.array_equal(members, expected_members)
+        assert np.array_equal(nearest, expected_nearest)
 
     @pytest.mark.parametrize("tiled", [False, True], ids=["dense", "tiled"])
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
@@ -469,7 +530,9 @@ def steady_cases(draw):
     """Inputs of one steady-state round: members of random alive heads, lone
     heads, direct nodes on rounds without heads and dead nodes, with each
     alive node's residual set below, at, just above or well above its
-    charge, so that deaths, overdraft and exactly-zero remainders occur."""
+    charge, so that deaths, overdraft and exactly-zero remainders occur.
+    Positions may sit on a coarse lattice, where nodes share positions and
+    members sit on their heads."""
     n = draw(st.integers(1, 40))
     roles = draw(st.lists(st.sampled_from(["head", "member", "dead"]),
                           min_size=n, max_size=n))
@@ -482,6 +545,10 @@ def steady_cases(draw):
     # a 200 m field puts member links and BS links on both sides of d0 = 70 m
     x = rng.random(n) * 200.0
     y = rng.random(n) * 200.0
+    lattice = draw(st.sampled_from([None, 10.0, 100.0]))
+    if lattice is not None:
+        x = np.round(x / lattice) * lattice
+        y = np.round(y / lattice) * lattice
     bits = float(LEACH.message_bits)
     tx_bs = _kernels._transmit(np.hypot(x - 100.0, y - 100.0), bits, LEACH.e_elec,
                                LEACH.eps_fs, LEACH.eps_mp, LEACH.d0)
@@ -510,15 +577,19 @@ class TestSteadyKernels:
     @given(case=steady_cases())
     @settings(max_examples=300, deadline=None)
     def test_numpy_equals_loop(self, case):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            returned, residual, alive = _steady(_kernels._steady_numpy, case)
         expected, expected_residual, expected_alive = _steady(_steady_loop, case)
-        assert len(returned) == len(expected) == 4
-        for got, want in zip(returned, expected):
-            assert np.array_equal(got, want)
-        assert np.array_equal(residual, expected_residual)
-        assert np.array_equal(alive, expected_alive)
+        # charged from the coordinates and from the hop table alike
+        _, hop = _pair_tables(case["x"], case["y"])
+        for table in (None, hop):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                returned, residual, alive = _steady(_kernels._steady_numpy,
+                                                    {**case, "hop": table})
+            assert len(returned) == len(expected) == 4
+            for got, want in zip(returned, expected):
+                assert np.array_equal(got, want)
+            assert np.array_equal(residual, expected_residual)
+            assert np.array_equal(alive, expected_alive)
 
 
 class TestLoopFlavorParity:
@@ -736,12 +807,16 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", list(GOLDEN["runs"]))
     def test_run(self, name):
         config = fast_runs()[name]
-        spy = mock.patch.object(_kernels, "_nearest_tiled", wraps=_kernels._nearest_tiled)
-        with spy as tiled:
+        tiled_spy = mock.patch.object(_kernels, "_nearest_tiled", wraps=_kernels._nearest_tiled)
+        tables_spy = mock.patch.object(engine, "_pair_tables", wraps=_kernels._pair_tables)
+        with tiled_spy as tiled, tables_spy as tables:
             result = run(config)
         assert digest([result]) == GOLDEN["runs"][name]
-        # the n = 2000 run is in the set for the tiled search; the rest die uncapped
+        # the n = 2000 run is in the set for the tiled search without pair
+        # tables; the rest run on the tables and die uncapped
         if config.n > 100:
-            assert tiled.called
+            assert config.n > _kernels._PAIR_TABLE_MAX_NODES
+            assert tiled.called and not tables.called
         else:
+            assert tables.called and not tiled.called
             assert result.alive[-1] == 0 and result.rounds < config.max_rounds
