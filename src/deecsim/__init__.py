@@ -2,7 +2,7 @@
 election protocols (DEEC, DDEEC, EDEEC, EDDEEC) in heterogeneous wireless
 sensor networks."""
 
-from ._kernels import get_backend
+from ._kernels import P_MAX, get_backend
 from .engine import NetworkConfig, Simulation, run
 from .metrics import (
     BatchSummary,
@@ -24,7 +24,6 @@ from .model import (
 )
 from .protocols import (
     AVG_ENERGY_FLOOR_J,
-    P_MAX,
     EnergyEstimate,
     HeterogeneityParams,
     Protocol,

@@ -1,9 +1,11 @@
 """Per-round simulation kernels: election draws, nearest-head assignment
 and steady-state charging, vectorized with numpy.
 
-This module is the only place the per-node laws are written: the election
-probability with its low-energy rule (:func:`_probability`), the epoch and
-rotating threshold (:func:`_rotation`), the first-order transmit cost
+This module is the only place the per-node laws and their constants are
+written: the election probability with its low-energy rule and its clamp
+``P_MAX`` (:func:`_probability`), the epoch and rotating threshold
+(:func:`_rotation`), the squared distance ``dx*dx + dy*dy``
+(:func:`_squared_distances`), the first-order transmit cost
 (:func:`_transmit`) and a cluster head's round cost (:func:`_head_charge`).
 The engine runs them through the round kernels, and the paper's acceptance
 gates (C4, C5, C8, C9) test these same functions;
@@ -13,10 +15,11 @@ The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
 of those heads, and the steady kernel charges from the three.
 
-Nodes never move during a run.  So for ``n <= _PAIR_TABLE_MAX_NODES`` the
-engine builds two (n, n) pair tables once per run (:func:`_pair_tables`):
-every pair's squared distance ``d2`` and member-to-head hop cost ``hop``.
-The assignment then reads its members x heads block from ``d2`` and calls
+Nodes never move during a run.  So the engine asks :func:`_pair_tables`
+once per run for two (n, n) pair tables: every pair's squared distance
+``d2`` and member-to-head hop cost ``hop``.  It returns them for
+``n <= _PAIR_TABLE_MAX_NODES`` and ``(None, None)`` above.  With tables,
+the assignment reads its members x heads block from ``d2`` and calls
 neither :func:`_nearest_dense` nor :func:`_nearest_tiled`, and the steady
 kernel charges members from ``hop``.  The runs stay bit-identical: each
 entry is the elementwise IEEE expression the kernels evaluate without a
@@ -40,10 +43,12 @@ import numpy as np
 # Epoch lengths round(1/p) beyond this have no exact integer form in a
 # float64; the threshold correction term is negligible there (p < 1.2e-16).
 _EPOCH_LIMIT = 2.0**53
+# Election probabilities feed the rotating threshold, which requires p < 1.
+P_MAX = 0.99
 
 
-def _probability(e, pw, denom, t_low, pw_low, p_max):
-    """Election probability ``min(pw * e / denom, p_max)`` of residuals ``e``.
+def _probability(e, pw, denom, t_low, pw_low):
+    """Election probability ``min(pw * e / denom, P_MAX)`` of residuals ``e``.
 
     ``pw`` is each node's ``p_opt * w_class`` and ``pw_low`` the
     ``p_opt * w_low`` that replaces it at or below ``t_low``; a negative
@@ -55,7 +60,7 @@ def _probability(e, pw, denom, t_low, pw_low, p_max):
         pw = np.where(e <= t_low, pw_low, pw)
     p = pw * e
     p /= denom
-    np.minimum(p, p_max, out=p)
+    np.minimum(p, P_MAX, out=p)
     return p
 
 
@@ -71,7 +76,7 @@ def _rotation(p, rnd):
 
 
 def _elect_numpy(residual, alive, ineligible_until, u, rnd,
-                 pw, denom, t_low, pw_low, p_max):
+                 pw, denom, t_low, pw_low):
     """Threshold-draw election for one round; returns the elected ids.
 
     Every node id owns one entry of ``u``; only alive, eligible nodes with
@@ -79,7 +84,7 @@ def _elect_numpy(residual, alive, ineligible_until, u, rnd,
     Elected nodes leave the eligible set for one epoch.
     """
     cand = (alive & (ineligible_until <= rnd)).nonzero()[0]
-    p = _probability(residual[cand], pw[cand], denom, t_low, pw_low, p_max)
+    p = _probability(residual[cand], pw[cand], denom, t_low, pw_low)
     if np.count_nonzero(p) < p.size:
         drawn = p > 0.0
         cand, p = cand[drawn], p[drawn]
@@ -111,10 +116,11 @@ def _head_charge(members, tx_bs, bits, e_elec, e_da):
 
 
 def _squared_distances(ax, ay, bx, by):
-    """The (a, b) block of ``dx*dx + dy*dy``, built in two buffers."""
-    d2 = np.subtract.outer(ax, bx)
+    """``dx*dx + dy*dy`` from points ``a`` to points ``b``, broadcast and
+    built in two buffers; ``ax[:, None], ay[:, None]`` give the (a, b) block."""
+    d2 = ax - bx
     d2 *= d2
-    dy2 = np.subtract.outer(ay, by)
+    dy2 = ay - by
     dy2 *= dy2
     d2 += dy2
     return d2
@@ -126,7 +132,7 @@ def _nearest_dense(mx, my, hx, hy, ids):
     ``argmin`` keeps the first head in ``ids`` order on ties, which is the
     lowest id because callers pass heads in ascending id order.
     """
-    return ids[_squared_distances(mx, my, hx, hy).argmin(axis=1)]
+    return ids[_squared_distances(mx[:, None], my[:, None], hx, hy).argmin(axis=1)]
 
 
 # Largest n whose runs get pair tables.  They hold 16 * n**2 bytes (4.2 MB
@@ -139,13 +145,16 @@ _PAIR_TABLE_MAX_NODES = 512
 
 
 def _pair_tables(x, y, bits, e_elec, eps_fs, eps_mp, d0):
-    """The (n, n) tables ``(d2, hop)`` of every node pair ``(i, j)``.
+    """The (n, n) tables ``(d2, hop)`` of every node pair ``(i, j)``, or
+    ``(None, None)`` for more than ``_PAIR_TABLE_MAX_NODES`` nodes.
 
     ``d2[i, j]`` is ``_squared_distances``' entry for the pair and
     ``hop[i, j]`` the ``_transmit`` cost of a packet over its distance.
     Both tables are symmetric bit for bit.
     """
-    d2 = _squared_distances(x, y, x, y)
+    if x.size > _PAIR_TABLE_MAX_NODES:
+        return None, None
+    d2 = _squared_distances(x[:, None], y[:, None], x, y)
     return d2, _transmit(np.sqrt(d2), bits, e_elec, eps_fs, eps_mp, d0)
 
 
@@ -190,19 +199,19 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     can neither win nor tie.  The kept result is therefore the dense one,
     ties included: the subset keeps the heads' order and the expression is
     the same.  All other members fall back to the dense search over every
-    head.  Returns ``None`` when the layout is too small or too narrow to
-    tile; the caller then runs the dense search.
+    head, and so do all members when the layout is too small or too narrow
+    to tile.
     """
     t = math.isqrt(ids.size // _HEADS_PER_TILE)
     if t < 2:
-        return None
+        return _nearest_dense(mx, my, hx, hy, ids)
     x0, x1 = min(mx.min(), hx.min()), max(mx.max(), hx.max())
     y0, y1 = min(my.min(), hy.min()), max(my.max(), hy.max())
     side = max(x1 - x0, y1 - y0) / t
     margin = 0.5 * side
     # relative rounding of coordinates this far out stays far below the slack
     if not margin * _MAX_COORD_PER_MARGIN > max(-x0, x1, -y0, y1):
-        return None
+        return _nearest_dense(mx, my, hx, hy, ids)
     accept = margin * margin * (1.0 - _ACCEPT_SLACK)
 
     ex = _tile_edges(x0, x1, t, side)
@@ -231,11 +240,7 @@ def _nearest_tiled(mx, my, hx, hy, ids):
         b0, h0 = b1, h1
 
     # pos = -1 reads the last head, which is outside the grown box, so it fails
-    d2 = sx - hx[pos]
-    d2 *= d2
-    dy2 = sy - hy[pos]
-    dy2 *= dy2
-    d2 += dy2
+    d2 = _squared_distances(sx, sy, hx[pos], hy[pos])
     rest = (~(d2 < accept)).nonzero()[0]
     nearest = ids[pos]
     if rest.size:
@@ -261,7 +266,7 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
     tile searches only the heads within a half-tile margin of it; members
     whose nearest head may lie farther out fall back to all heads
     (``_nearest_tiled`` gives the exactness argument).  All three paths
-    evaluate the same ``dx*dx + dy*dy`` and keep the lowest head id on
+    evaluate the same ``_squared_distances`` and keep the lowest head id on
     ties, so they return identical heads.
 
     The 40k-pair crossover was measured on engine rounds at n = 300..1000
@@ -280,17 +285,12 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
         return members, ch_ids[:0]
     if d2 is not None:
         return members, ch_ids[d2[ch_ids].T[members].argmin(axis=1)]
-    mx, my, hx, hy = x[members], y[members], x[ch_ids], y[ch_ids]
-    nearest = None
-    if members.size * ch_ids.size >= _TILE_MIN_PAIRS:
-        nearest = _nearest_tiled(mx, my, hx, hy, ch_ids)
-    if nearest is None:
-        nearest = _nearest_dense(mx, my, hx, hy, ch_ids)
-    return members, nearest
+    search = _nearest_tiled if members.size * ch_ids.size >= _TILE_MIN_PAIRS else _nearest_dense
+    return members, search(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
 
 
 def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                  bits, e_elec, eps_fs, eps_mp, e_da, d0, hop=None):
+                  bits, e_elec, eps_fs, eps_mp, d0, e_da, hop=None):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
@@ -308,11 +308,7 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
         if hop is not None:
             charge[members] = hop[members, nearest]
         else:
-            d = x[members] - x[nearest]
-            d *= d
-            dy2 = y[members] - y[nearest]
-            dy2 *= dy2
-            d += dy2
+            d = _squared_distances(x[members], y[members], x[nearest], y[nearest])
             charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
         counts = np.bincount(nearest, minlength=n)[ch_ids]
         charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], bits, e_elec, e_da)

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import _PAIR_TABLE_MAX_NODES, Backend, _pair_tables, _transmit, get_backend
+from ._kernels import Backend, _pair_tables, _squared_distances, _transmit, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
     AVG_ENERGY_FLOOR_J,
-    P_MAX,
     EnergyEstimate,
     HeterogeneityParams,
     ProtocolConfig,
@@ -62,12 +61,13 @@ class Simulation:
     ``get_backend()``'s.
 
     Node positions ``x`` and ``y`` are fixed for the run and read-only.
-    Up to ``_PAIR_TABLE_MAX_NODES`` nodes the constructor also builds the
-    run's pair tables ``pair_d2`` (squared distances) and ``pair_hop``
-    (member-to-head transmit costs), 16 * n**2 bytes in all, and the round
-    kernels read distances and hop costs from them; above it both are
-    ``None`` and the kernels compute from the coordinates.  Either way a
-    run's numbers are the same bits (see ``_kernels``).
+    The constructor takes the run's pair tables ``pair_d2`` (squared
+    distances) and ``pair_hop`` (member-to-head transmit costs) from
+    ``_kernels._pair_tables``, which decides the node-count cutoff: up to
+    it they hold 16 * n**2 bytes in all and the round kernels read
+    distances and hop costs from them; above it both are ``None`` and the
+    kernels compute from the coordinates.  Either way a run's numbers are
+    the same bits (see ``_kernels``).
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -97,9 +97,7 @@ class Simulation:
         self.ineligible_until = np.zeros(n, dtype=np.int64)
 
         bx, by = config.geometry.bs_position
-        dx = self.x - bx
-        dy = self.y - by
-        self.dist_to_bs = np.sqrt(dx * dx + dy * dy)
+        self.dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
 
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
             n, config.geometry, config.radio, config.het
@@ -113,16 +111,10 @@ class Simulation:
         self._pw = pw_by_class[node_class]
         self._energy_factor = config.het.total_energy_factor
         radio = config.radio
-        bits = float(radio.message_bits)
-        self.tx_bs = _transmit(
-            self.dist_to_bs, bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0
-        )
-        self._radio_args = (bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.e_da, radio.d0)
-        self.pair_d2 = self.pair_hop = None
-        if n <= _PAIR_TABLE_MAX_NODES:
-            self.pair_d2, self.pair_hop = _pair_tables(
-                self.x, self.y, bits, radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0
-            )
+        law = (float(radio.message_bits), radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0)
+        self.tx_bs = _transmit(self.dist_to_bs, *law)
+        self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, *law)
+        self._radio_args = (*law, radio.e_da)
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)
         # and (residual, charged, overdraft) in joules
@@ -155,7 +147,6 @@ class Simulation:
             denom,
             self._t_low,
             self._pw_low,
-            P_MAX,
         )
 
     def form_clusters(self, ch_ids: np.ndarray) -> tuple:

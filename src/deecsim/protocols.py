@@ -6,8 +6,8 @@ energy, per-round dissipation, expected distances, optimal cluster count).
 
 The four protocols share one election law: an alive node's probability is
 ``p_opt * w * E / ((1 + m*(a + m0*b)) * avg_energy)``, clamped to
-``P_MAX``, where ``E`` is its residual energy and ``w`` a class-dependent
-weight; it draws against the rotating threshold
+``_kernels.P_MAX``, where ``E`` is its residual energy and ``w`` a
+class-dependent weight; it draws against the rotating threshold
 ``p / (1 - p * (r mod round(1/p)))``.  The law itself is written once, in
 ``_kernels._probability`` and ``_kernels._rotation``; this module supplies
 the weights and the low-energy rule it is evaluated with.
@@ -40,9 +40,6 @@ from .model import FieldGeometry, NodeClass, RadioParams
 # and would go negative past it; it is floored here so probabilities stay
 # defined for networks that outlive the estimate.
 AVG_ENERGY_FLOOR_J = 1e-6
-
-# Election probabilities feed the rotating threshold, which requires p < 1.
-P_MAX = 0.99
 
 
 class Protocol(str, Enum):

@@ -15,11 +15,11 @@ import math
 
 import numpy as np
 
-from deecsim._kernels import _EPOCH_LIMIT, Backend
+from deecsim._kernels import _EPOCH_LIMIT, P_MAX, Backend
 
 
 def _elect_loop(residual, alive, ineligible_until, u, rnd,
-                pw, denom, t_low, pw_low, p_max):
+                pw, denom, t_low, pw_low):
     n = residual.shape[0]
     heads = np.empty(n, dtype=np.int64)
     k = 0
@@ -31,8 +31,8 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd,
         if t_low >= 0.0 and e <= t_low:
             w = pw_low
         p = w * e / denom
-        if p > p_max:
-            p = p_max
+        if p > P_MAX:
+            p = P_MAX
         if p <= 0.0:
             continue
         inv = 1.0 / p
@@ -78,7 +78,7 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
 
 
 def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                 bits, e_elec, eps_fs, eps_mp, e_da, d0, hop=None):
+                 bits, e_elec, eps_fs, eps_mp, d0, e_da, hop=None):
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
     overdraft = np.zeros(n, dtype=np.float64)

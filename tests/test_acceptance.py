@@ -21,7 +21,6 @@ import pytest
 from _golden import GOLDEN, digest
 
 from deecsim import (
-    P_MAX,
     RADIO_PROFILES,
     Protocol,
     ProtocolConfig,
@@ -143,7 +142,7 @@ def probabilities(e, pw, avg, het, cfg):
     """The engine's election probability of residuals ``e`` at class
     weights ``pw`` (``p_opt * w``) and average energies ``avg``."""
     _, t_low, pw_low = election_constants(cfg, het)
-    return _probability(e, pw, het.total_energy_factor * avg, t_low, pw_low, P_MAX)
+    return _probability(e, pw, het.total_energy_factor * avg, t_low, pw_low)
 
 
 def test_criterion_4_reduction_identity(spec):
@@ -278,7 +277,7 @@ def test_criterion_9_epoch_rotation_rate():
     for r in range(rounds):
         u = rng.random(n)
         heads = _elect_numpy(residual, alive, ineligible_until, u, r,
-                             pw, 1.0, -1.0, 0.0, P_MAX)
+                             pw, 1.0, -1.0, 0.0)
         elections += heads.size
     rate = elections / (n * rounds)
     report(9, "static-probability rotation elects each node ~once per 10 rounds",

@@ -31,7 +31,6 @@ from deecsim import (
 )
 from deecsim._kernels import _EPOCH_LIMIT
 from deecsim.metrics import SimResult
-from deecsim.protocols import P_MAX
 
 DATA = Path(__file__).parent / "data"
 LEACH = RADIO_PROFILES["leach-standard"]
@@ -84,6 +83,19 @@ class TestInitialize:
         sim = Simulation(config_sec3())
         assert (sim.x >= 0).all() and (sim.x <= 100.0).all()
         assert (sim.y >= 0).all() and (sim.y <= 100.0).all()
+
+    @pytest.mark.parametrize("n", [100, 600])
+    @pytest.mark.parametrize("bs", [None, (0.0, 0.0)], ids=["centre", "corner"])
+    @pytest.mark.parametrize("profile", sorted(RADIO_PROFILES))
+    def test_bs_costs_are_the_scalar_law(self, config_sec3, profile, bs, n):
+        config = config_sec3(radio=profile)
+        sim = Simulation(dataclasses.replace(config, n=n, geometry=FieldGeometry(100.0, bs)))
+        radio, position = config.radio, sim.config.geometry.bs_position
+        d = [distance((x, y), position) for x, y in zip(sim.x.tolist(), sim.y.tolist())]
+        assert sim.dist_to_bs.tolist() == d
+        assert sim.tx_bs.tolist() == [tx_energy(radio.message_bits, di, radio) for di in d]
+        if bs is not None:  # the corner: both branches of the law
+            assert min(d) < radio.d0 <= max(d)
 
     def test_config_validation(self, het_sec3, geometry_100):
         with pytest.raises(ValueError):
@@ -189,7 +201,7 @@ class TestFormClusters:
         y = np.array([0.0, 0.0, 10.0, 20.0])
         alive = np.ones(4, dtype=np.bool_)
         # node 0 is equidistant (10 m) from heads 1 and 2; node 3 is nearer 2
-        for d2 in (None, _kernels._squared_distances(x, y, x, y)):
+        for d2 in (None, _kernels._squared_distances(x[:, None], y[:, None], x, y)):
             members, nearest = kernels.assign(x, y, alive, np.array([1, 2]), d2)
             assert members.tolist() == [0, 3] and nearest.tolist() == [1, 2]
 
@@ -226,6 +238,13 @@ class TestPairTables:
         rows, cols = np.arange(0, 100, 3), np.arange(1, 100, 7)
         assert np.array_equal(
             d2[np.ix_(rows, cols)],
+            _kernels._squared_distances(sim.x[rows, None], sim.y[rows, None],
+                                        sim.x[cols], sim.y[cols]),
+        )
+        # pointwise too, over every pair of that block
+        rows, cols = (ids.ravel() for ids in np.meshgrid(rows, cols, indexing="ij"))
+        assert np.array_equal(
+            d2[rows, cols],
             _kernels._squared_distances(sim.x[rows], sim.y[rows], sim.x[cols], sim.y[cols]),
         )
         radio = sim.config.radio
@@ -264,7 +283,7 @@ def _assert_matches_brute_force(x, y, alive, ch_ids):
     # the loop reference visits every head in id order
     expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids)
     # with the pair table too; it needs neither the dense nor the tiled search
-    d2 = _kernels._squared_distances(x, y, x, y)
+    d2 = _kernels._squared_distances(x[:, None], y[:, None], x, y)
     for table in (None, d2):
         members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, table)
         assert np.array_equal(members, expected_members)
@@ -459,7 +478,6 @@ def election_cases(draw):
         "t_low": draw(st.one_of(st.just(-1.0), st.sampled_from(residual.tolist()))),
         # p_opt * w_low for EDDEEC at c = 0.1 and for DDEEC
         "pw_low": draw(st.sampled_from([0.1 * (0.1 * 4.5), 0.1 * 3.0])),
-        "p_max": P_MAX,
     }
 
 
@@ -488,7 +506,7 @@ class TestElectionKernels:
             "residual": np.array([5.0, 1e-300]), "alive": np.ones(2, dtype=np.bool_),
             "ineligible_until": np.zeros(2, dtype=np.int64), "u": np.array([0.5, 0.0]),
             "rnd": 7, "pw": np.array([0.45, 0.45]), "denom": 1e-3, "t_low": -1.0,
-            "pw_low": 0.0, "p_max": P_MAX,
+            "pw_low": 0.0,
         }
         heads, ineligible = _elect(_kernels._elect_numpy, case)
         assert heads.tolist() == [0, 1]
@@ -498,19 +516,31 @@ class TestElectionKernels:
 class TestTileKeys:
     """Tile keys sort in the narrowest unsigned type that holds them."""
 
-    # one head per tile below: t*t = 225, 225, 256, 256, 289 tiles, so the
-    # largest key crosses 255, where the key type widens from uint8 to uint16
-    @pytest.mark.parametrize("heads", [225, 255, 256, 288, 289])
-    def test_tiled_equals_dense_across_uint8(self, heads):
+    # one head per tile: t*t = 225, 225, 256, 256, 289 tiles, so the largest
+    # key crosses 255, where the key type widens from uint8 to uint16.  The
+    # last two layouts cannot be tiled, and the dense search decides: 31
+    # heads at 8 a tile give one tile a side, and a field moved 1e5 m out
+    # fails the coordinate guard.
+    @pytest.mark.parametrize("heads, per_tile, offset, tiles", [
+        *(pytest.param(heads, 1, 0.0, math.isqrt(heads) ** 2, id=str(heads))
+          for heads in (225, 255, 256, 288, 289)),
+        pytest.param(31, 8, 0.0, None, id="31-one-tile"),
+        pytest.param(289, 1, 1e5, None, id="289-far-out"),
+    ])
+    def test_tiled_equals_dense_across_uint8(self, heads, per_tile, offset, tiles):
         x, y, alive, ch_ids = _random_layout(heads, 600, heads)
+        x += offset
         member = alive.copy()
         member[ch_ids] = False
         mi = np.flatnonzero(member)
         args = (x[mi], y[mi], x[ch_ids], y[ch_ids], ch_ids)
         spy = mock.patch.object(_kernels, "_tile_order", wraps=_kernels._tile_order)
-        with mock.patch.object(_kernels, "_HEADS_PER_TILE", 1), spy as order:
+        with mock.patch.object(_kernels, "_HEADS_PER_TILE", per_tile), spy as order:
             tiled = _kernels._nearest_tiled(*args)
-        assert order.call_args.args[1] == math.isqrt(heads) ** 2
+        if tiles is None:
+            assert not order.called
+        else:
+            assert order.call_args.args[1] == tiles
         assert np.array_equal(tiled, _kernels._nearest_dense(*args))
 
     @pytest.mark.parametrize("tiles", [2, 256, 257, 65536, 65537, 2**32, 2**32 + 1])
@@ -680,7 +710,7 @@ class TestSteadyState:
         charge, overdraft, to_bs, to_ch = kernels.steady(
             np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
             no_heads, np.array([0, 1, 2]), no_heads,
-            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
+            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.d0, LEACH.e_da,
         )
         assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
         # residual > charge: alive with the difference; residual == charge:
@@ -807,16 +837,25 @@ class TestGoldenDigests:
     @pytest.mark.parametrize("name", list(GOLDEN["runs"]))
     def test_run(self, name):
         config = fast_runs()[name]
+        tables = []
+
+        def record_tables(*args):
+            tables.append(_kernels._pair_tables(*args))
+            return tables[-1]
+
         tiled_spy = mock.patch.object(_kernels, "_nearest_tiled", wraps=_kernels._nearest_tiled)
-        tables_spy = mock.patch.object(engine, "_pair_tables", wraps=_kernels._pair_tables)
-        with tiled_spy as tiled, tables_spy as tables:
+        tables_spy = mock.patch.object(engine, "_pair_tables", side_effect=record_tables)
+        with tiled_spy as tiled, tables_spy:
             result = run(config)
         assert digest([result]) == GOLDEN["runs"][name]
+        (d2, hop), = tables
         # the n = 2000 run is in the set for the tiled search without pair
         # tables; the rest run on the tables and die uncapped
         if config.n > 100:
             assert config.n > _kernels._PAIR_TABLE_MAX_NODES
-            assert tiled.called and not tables.called
+            assert d2 is None and hop is None
+            assert tiled.called
         else:
-            assert tables.called and not tiled.called
+            assert d2.shape == hop.shape == (config.n, config.n)
+            assert not tiled.called
             assert result.alive[-1] == 0 and result.rounds < config.max_rounds

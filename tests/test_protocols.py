@@ -32,7 +32,7 @@ def probability(residual, avg, het, cfg, node_class=NodeClass.NORMAL):
     """The election kernel's probability for one node of ``node_class``."""
     pw_by_class, t_low, pw_low = election_constants(cfg, het)
     p = _probability(np.array([residual]), pw_by_class[[node_class]],
-                     het.total_energy_factor * avg, t_low, pw_low, P_MAX)
+                     het.total_energy_factor * avg, t_low, pw_low)
     return float(p[0])
 
 
