@@ -1,15 +1,17 @@
 """Per-round simulation kernels: election draws, nearest-head assignment
 and steady-state charging, vectorized with numpy.
 
-This module is the only place the per-node laws and their constants are
-written: the election probability with its low-energy rule and its clamp
-``P_MAX`` (:func:`_probability`), the epoch and rotating threshold
+This module writes the vector form of each per-node law and constant once:
+the election probability with its low-energy rule and its clamp ``P_MAX``
+(:func:`_probability`), the epoch and rotating threshold
 (:func:`_rotation`), the squared distance ``dx*dx + dy*dy``
 (:func:`_squared_distances`), the first-order transmit cost
 (:func:`_transmit`) and a cluster head's round cost (:func:`_head_charge`).
 The engine runs them through the round kernels, and the paper's acceptance
 gates (C4, C5, C8, C9) test these same functions;
 ``protocols.election_constants`` supplies their per-run constants.
+``model.tx_energy``, ``rx_energy``, ``aggregation_energy`` and ``distance``
+write the scalar forms, which the tests use as the independent reference.
 
 The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
@@ -158,8 +160,15 @@ def _pair_tables(x, y, bits, e_elec, eps_fs, eps_mp, d0):
     return d2, _transmit(np.sqrt(d2), bits, e_elec, eps_fs, eps_mp, d0)
 
 
-# Members x heads work below which one dense block beats the tiled search
-# (measured; see _assign_numpy).
+# Members x heads pairs below which one dense block beats the tiled search.
+# Measured on engine rounds at n = 300..1000 on the paper's 100 m field
+# (2-core x86-64, numpy 2.4): between about 15k and 60k pairs the faster
+# search changes from round to round, and the tiled one wins on most rounds
+# above 60k.  On the same host, at n = 5000 (about 300 heads, 1.4M pairs a
+# round) assignment takes about 2 ms a round instead of 30 ms, and the dense
+# block's two members x heads buffers of up to 14 MB each give way to
+# per-tile blocks of a few tens of kB; at n = 20000 (about 1400 heads) it
+# takes about 8 ms.
 _TILE_MIN_PAIRS = 40_000
 # Tiles per side are floor(sqrt(heads / _HEADS_PER_TILE)).
 _HEADS_PER_TILE = 8
@@ -167,13 +176,6 @@ _HEADS_PER_TILE = 8
 _ACCEPT_SLACK = 1e-9
 # The slack holds only while coordinates are at most this many margins large.
 _MAX_COORD_PER_MARGIN = 1e4
-
-
-def _tile_edges(lo, hi, t, side):
-    """``t + 1`` ascending tile edges from ``lo``; the last covers ``hi``."""
-    edges = lo + side * np.arange(t + 1)
-    edges[-1] = max(edges[-1], hi)
-    return edges
 
 
 def _tile_order(tile, tiles):
@@ -190,20 +192,24 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     """Exactly ``_nearest_dense(mx, my, hx, hy, ids)``, searching near heads.
 
     Members fall into T x T square tiles over the bounding box of members
-    and heads, T = floor(sqrt(heads / 8)).  A tile's members are matched
+    and heads, T = floor(sqrt(heads / 8)); on each axis a member's tile is
+    ``min(int((m - x0) / side), T - 1)``.  A tile's members are matched
     against the heads inside the tile grown by a half-tile ``margin``, and a
     result is kept only if its squared distance is below
     ``margin**2 * (1 - 1e-9)``.  Every head outside the grown box is at
-    least ``margin`` from each member of the tile; the 1e-9 slack absorbs
-    the rounding of the box bounds and of ``dx*dx + dy*dy``, so such a head
-    can neither win nor tie.  The kept result is therefore the dense one,
-    ties included: the subset keeps the heads' order and the expression is
-    the same.  All other members fall back to the dense search over every
-    head, and so do all members when the layout is too small or too narrow
-    to tile.
+    least ``margin`` from each member of the tile, up to rounding: the
+    division can leave a member a few ulps of ``T * side`` (under 2e4
+    margins by the coordinate guard) outside its tile, a few 1e-12 of a
+    margin.  The 1e-9 slack absorbs 5e-10 of a margin, which covers this,
+    the box bounds and ``dx*dx + dy*dy``, so such a head can neither win
+    nor tie.  The kept result is therefore the dense one, ties included:
+    the subset keeps the heads' order and the expression is the same.  All
+    other members fall back to the dense search over every head.  Below
+    ``_TILE_MIN_PAIRS`` members x heads, under 2 tiles a side, or past the
+    coordinate guard, the dense search decides for all members.
     """
     t = math.isqrt(ids.size // _HEADS_PER_TILE)
-    if t < 2:
+    if t < 2 or mx.size * ids.size < _TILE_MIN_PAIRS:
         return _nearest_dense(mx, my, hx, hy, ids)
     x0, x1 = min(mx.min(), hx.min()), max(mx.max(), hx.max())
     y0, y1 = min(my.min(), hy.min()), max(my.max(), hy.max())
@@ -214,15 +220,15 @@ def _nearest_tiled(mx, my, hx, hy, ids):
         return _nearest_dense(mx, my, hx, hy, ids)
     accept = margin * margin * (1.0 - _ACCEPT_SLACK)
 
-    ex = _tile_edges(x0, x1, t, side)
-    ey = _tile_edges(y0, y1, t, side)
-    # a member of tile (i, j) lies in [ex[i], ex[i+1]] x [ey[j], ey[j+1]]
-    tile = (np.searchsorted(ey[1:-1], my, side="right") * t
-            + np.searchsorted(ex[1:-1], mx, side="right"))
+    # tile (i, j) spans x0 + edges[i:i+2] by y0 + edges[j:j+2]; its members
+    # lie in it up to the rounding the slack absorbs
+    tile = (np.minimum(((my - y0) / side).astype(np.intp), t - 1) * t
+            + np.minimum(((mx - x0) / side).astype(np.intp), t - 1))
     order = _tile_order(tile, t * t)
     ends = np.bincount(tile, minlength=t * t).cumsum().tolist()
-    near_col = (hx >= ex[:-1, None] - margin) & (hx <= ex[1:, None] + margin)
-    near_row = (hy >= ey[:-1, None] - margin) & (hy <= ey[1:, None] + margin)
+    edges = side * np.arange(t + 1)
+    near_col = (hx >= x0 + edges[:-1, None] - margin) & (hx <= x0 + edges[1:, None] + margin)
+    near_row = (hy >= y0 + edges[:-1, None] - margin) & (hy <= y0 + edges[1:, None] + margin)
     # row j * t + i: the heads near tile (i, j), as ascending indices into ids;
     # (t * t) x heads booleans, about heads**2 / 8 bytes
     near = (near_row[:, None, :] & near_col[None, :, :]).reshape(t * t, -1)
@@ -260,23 +266,10 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
 
     Given ``_pair_tables``' ``d2``, the members x heads block is read from
     it (the heads' rows, transposed, at the members) and no distance is
-    computed.  Without it, below ``_TILE_MIN_PAIRS`` members x heads one
-    dense block of squared distances decides.  Above it the members are
-    bucketed into T x T square tiles, T = floor(sqrt(heads / 8)), and each
-    tile searches only the heads within a half-tile margin of it; members
-    whose nearest head may lie farther out fall back to all heads
-    (``_nearest_tiled`` gives the exactness argument).  All three paths
-    evaluate the same ``_squared_distances`` and keep the lowest head id on
-    ties, so they return identical heads.
-
-    The 40k-pair crossover was measured on engine rounds at n = 300..1000
-    on the paper's 100 m field (2-core x86-64, numpy 2.4): between about
-    15k and 60k pairs the faster path changes from round to round, and the
-    tiled path wins on most rounds above 60k.  On the same host, at
-    n = 5000 (about 300 heads, 1.4M pairs a round) assignment takes about
-    2 ms a round instead of 30 ms, and the dense block's two members x
-    heads buffers of up to 14 MB each give way to per-tile blocks of a few
-    tens of kB; at n = 20000 (about 1400 heads) it takes about 8 ms.
+    computed.  Without it, ``_nearest_tiled`` searches the coordinates; it
+    picks the dense block itself where tiles do not pay or cannot be built.
+    Both evaluate the same ``_squared_distances`` and keep the lowest head
+    id on ties, so they return identical heads.
     """
     member = alive.copy()
     member[ch_ids] = False
@@ -285,8 +278,7 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
         return members, ch_ids[:0]
     if d2 is not None:
         return members, ch_ids[d2[ch_ids].T[members].argmin(axis=1)]
-    search = _nearest_tiled if members.size * ch_ids.size >= _TILE_MIN_PAIRS else _nearest_dense
-    return members, search(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
+    return members, _nearest_tiled(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
 
 
 def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,

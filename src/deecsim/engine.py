@@ -10,6 +10,7 @@ position is independent of simulation state.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,9 @@ class NetworkConfig:
     max_rounds: int = 10000
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "max_rounds"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.max_rounds < 1:

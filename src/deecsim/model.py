@@ -10,6 +10,7 @@ electronics / aggregation constants only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -44,6 +45,8 @@ class RadioParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"RadioParams.{name} must be finite and strictly positive")
+        if not isinstance(self.message_bits, numbers.Integral):
+            raise ValueError("RadioParams.message_bits must be an integer")
 
 
 # The two shipped radio profiles differ only in the free-space amplifier

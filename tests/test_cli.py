@@ -183,6 +183,14 @@ class TestLoadSpec:
         with pytest.raises(SpecError, match="not found"):
             load_spec("no-such-spec.cfg")
 
+    @pytest.mark.parametrize("profile", sorted(RADIO_PROFILES))
+    def test_profile_flag_without_radio_section(self, tmp_path, profile):
+        # the flag sets [radio] profile on a spec that has no [radio] section
+        path = write_tiny_spec(tmp_path, tmp_path / "r")
+        path.write_text(path.read_text().replace("[radio]\nprofile = leach-standard\n", ""))
+        assert "[radio]" not in path.read_text()
+        assert load_spec(path, {"--profile": profile}).template.radio == RADIO_PROFILES[profile]
+
     def test_bad_numeric_field_names_location(self, tmp_path):
         path = tmp_path / "x.cfg"
         path.write_text(
@@ -268,6 +276,15 @@ class TestRunExperiment:
         spec = load_spec(write_tiny_spec(tmp_path, blocker))
         assert run_experiment(spec, echo=lambda *a, **k: None) == EXIT_IO
         assert blocker.is_file()
+
+    def test_failed_artifact_removes_earlier_ones(self, tmp_path, capsys):
+        # summary.txt is written after the CSV and SVG files; a directory in
+        # its place fails that write, and the files written before it go
+        out = tmp_path / "results"
+        (out / "summary.txt").mkdir(parents=True)
+        assert main(["run", str(write_tiny_spec(tmp_path, out))]) == EXIT_IO
+        assert "failed writing artifacts" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["summary.txt"]
 
     def test_summary_ordered_by_stability(self, tmp_path):
         out = tmp_path / "results"
@@ -414,6 +431,19 @@ class TestMain:
         keyed, _ = _keyed_and_flagged(tmp_path, section, key, value)
         assert _artifacts(["run", str(keyed)], tmp_path / "results") == (EXIT_VALIDATION, None)
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("network, error", [
+        ("nodes = 20\n[network]\n", "File contains no section headers"),
+        ("[network]\nbs_x = 10\n", "bs_x and bs_y must be given together"),
+        ("[network]\nbs_y = 10\n", "bs_x and bs_y must be given together"),
+    ], ids=["line-before-section", "bs_x-alone", "bs_y-alone"])
+    def test_malformed_spec_exits_validation(self, tmp_path, capsys, network, error):
+        out = tmp_path / "r"
+        path = write_tiny_spec(tmp_path, out)
+        path.write_text(path.read_text().replace("[network]\n", network))
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_count_override_prefix(self, tmp_path):
         out2, out3 = tmp_path / "r2", tmp_path / "r3"

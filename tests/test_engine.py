@@ -15,6 +15,7 @@ from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop, _steady_loop
 
 from deecsim import _kernels, engine
 from deecsim import (
+    AVG_ENERGY_FLOOR_J,
     RADIO_PROFILES,
     FieldGeometry,
     HeterogeneityParams,
@@ -117,6 +118,13 @@ class TestInitialize:
                 seed=1,
                 max_rounds=0,
             )
+        # counts must be integers: 2.5 rounds would run 3, and a float n or
+        # seed would fail later inside numpy; numpy integers are accepted
+        good = tiny_config()
+        for field, bad in [("n", 20.0), ("seed", 1.5), ("max_rounds", 2.5), ("n", "20")]:
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                dataclasses.replace(good, **{field: bad})
+        assert dataclasses.replace(good, n=np.int64(20), seed=np.uint32(1)).n == 20
 
     @pytest.mark.parametrize("part, fields", [
         ("geometry", ("side_m",)),
@@ -180,6 +188,12 @@ class TestElection:
         for r in (0, 1, 777, lifetime, lifetime + 1, 10**6):
             sim.round = r
             assert sim.average_energy() == sim.estimate.avg_energy_at(r)
+
+    def test_true_average_floors_with_no_node_alive(self, config_sec3):
+        sim = Simulation(config_sec3(avg_energy_mode="true"))
+        assert sim.average_energy() == sim.residual.sum() / 100
+        sim.alive[:] = False
+        assert sim.average_energy() == AVG_ENERGY_FLOOR_J
 
     def test_elected_nodes_become_ineligible(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
@@ -362,9 +376,11 @@ class TestAssignExactness:
     def test_head_just_outside_the_grown_box(self, transpose):
         # 32 heads over [0, 64]^2 give 2 x 2 tiles of side 32 and a 16 m
         # margin.  The member sits on the left edge of the right column; head
-        # 0 lies just outside that tile's grown box, 1 mm nearer than head 1
-        # inside it, so the member must not keep the in-box result.
-        delta = 1e-3
+        # 0 lies 1 nm outside that tile's grown box, 1 nm nearer than head 1
+        # inside it, so the member must not keep the in-box result.  1 nm is
+        # under the 8 nm the 1e-9 slack takes off the radius, so an
+        # acceptance radius grown by the slack instead would keep it.
+        delta = 1e-9
         hx = [16.0 - delta, 48.0 + 2 * delta] + list(np.linspace(0.0, 64.0, 30))
         hy = [8.0, 8.0] + [64.0] * 30
         x = np.array(hx + [32.0, 0.0, 64.0])
@@ -518,24 +534,31 @@ class TestTileKeys:
 
     # one head per tile: t*t = 225, 225, 256, 256, 289 tiles, so the largest
     # key crosses 255, where the key type widens from uint8 to uint16.  The
-    # last two layouts cannot be tiled, and the dense search decides: 31
-    # heads at 8 a tile give one tile a side, and a field moved 1e5 m out
-    # fails the coordinate guard.
-    @pytest.mark.parametrize("heads, per_tile, offset, tiles", [
-        *(pytest.param(heads, 1, 0.0, math.isqrt(heads) ** 2, id=str(heads))
+    # last three layouts are not tiled, and the dense search decides: 31
+    # heads at 8 a tile give one tile a side (with the crossover at 0 pairs,
+    # as its 17.6k pairs are below it), a field moved 1e5 m out fails the
+    # coordinate guard, and 40 heads at 1 a tile give 6 tiles a side but
+    # only 22.4k pairs, below the crossover.
+    @pytest.mark.parametrize("heads, per_tile, offset, min_pairs, tiles", [
+        *(pytest.param(heads, 1, 0.0, None, math.isqrt(heads) ** 2, id=str(heads))
           for heads in (225, 255, 256, 288, 289)),
-        pytest.param(31, 8, 0.0, None, id="31-one-tile"),
-        pytest.param(289, 1, 1e5, None, id="289-far-out"),
+        pytest.param(31, 8, 0.0, 0, None, id="31-one-tile"),
+        pytest.param(289, 1, 1e5, None, None, id="289-far-out"),
+        pytest.param(40, 1, 0.0, None, None, id="40-below-crossover"),
     ])
-    def test_tiled_equals_dense_across_uint8(self, heads, per_tile, offset, tiles):
+    def test_tiled_equals_dense_across_uint8(self, heads, per_tile, offset, min_pairs, tiles):
         x, y, alive, ch_ids = _random_layout(heads, 600, heads)
         x += offset
         member = alive.copy()
         member[ch_ids] = False
         mi = np.flatnonzero(member)
         args = (x[mi], y[mi], x[ch_ids], y[ch_ids], ch_ids)
+        if min_pairs is None:
+            min_pairs = _kernels._TILE_MIN_PAIRS
+            assert (mi.size * heads < min_pairs) == (heads == 40)
         spy = mock.patch.object(_kernels, "_tile_order", wraps=_kernels._tile_order)
-        with mock.patch.object(_kernels, "_HEADS_PER_TILE", per_tile), spy as order:
+        with (mock.patch.object(_kernels, "_HEADS_PER_TILE", per_tile),
+              mock.patch.object(_kernels, "_TILE_MIN_PAIRS", min_pairs), spy as order):
             tiled = _kernels._nearest_tiled(*args)
         if tiles is None:
             assert not order.called
@@ -843,7 +866,8 @@ class TestGoldenDigests:
             tables.append(_kernels._pair_tables(*args))
             return tables[-1]
 
-        tiled_spy = mock.patch.object(_kernels, "_nearest_tiled", wraps=_kernels._nearest_tiled)
+        # _tile_order runs only once the tiled search has built its tiles
+        tiled_spy = mock.patch.object(_kernels, "_tile_order", wraps=_kernels._tile_order)
         tables_spy = mock.patch.object(engine, "_pair_tables", side_effect=record_tables)
         with tiled_spy as tiled, tables_spy:
             result = run(config)

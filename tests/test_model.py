@@ -140,6 +140,12 @@ class TestRadioParams:
             RadioParams(e_elec=0.0, eps_fs=1e-12, eps_mp=1e-15, e_da=5e-9, d0=70.0, message_bits=4000)
         with pytest.raises(ValueError):
             RadioParams(e_elec=50e-9, eps_fs=1e-12, eps_mp=1e-15, e_da=5e-9, d0=70.0, message_bits=0)
+        with pytest.raises(ValueError, match="message_bits must be an integer"):
+            RadioParams(e_elec=50e-9, eps_fs=1e-12, eps_mp=1e-15, e_da=5e-9, d0=70.0,
+                        message_bits=4000.5)
+        with pytest.raises(ValueError, match="message_bits must be an integer"):
+            RadioParams(e_elec=50e-9, eps_fs=1e-12, eps_mp=1e-15, e_da=5e-9, d0=70.0,
+                        message_bits=4000.0)
 
 
 class TestFieldGeometry:
