@@ -289,10 +289,10 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
     ``_assign_numpy``'s result.  Each member transmits to its nearest head
     over the actual distance (read from ``_pair_tables``' ``hop`` when it
     is given) and each head pays ``_head_charge``; on rounds without heads
-    each member uplinks directly and pays ``tx_bs``.
-    Nodes complete the round's action even when it kills them (clamped at
-    zero; the shortfall is reported as overdraft).  Returns per-node charge
-    and overdraft and the packet counts to the BS and to heads.
+    each member uplinks directly and pays ``tx_bs``.  Residuals are clamped
+    at zero, the shortfall is the overdraft, and a node dies at zero.  Dead
+    nodes must carry no charge, and stay dead.  Returns per-node charge and
+    overdraft and the packet counts to the BS and to heads.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -304,20 +304,12 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
             charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
         counts = np.bincount(nearest, minlength=n)[ch_ids]
         charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], bits, e_elec, e_da)
-        packets_to_bs, packets_to_ch = ch_ids.size, members.size
     else:
         charge[members] = tx_bs[members]
-        packets_to_bs, packets_to_ch = members.size, 0
-
-    remaining = residual - charge
-    overdraft = np.zeros(n, dtype=np.float64)
-    dying = (alive & (remaining <= 0.0)).nonzero()[0]
-    if dying.size:
-        overdraft[dying] = charge[dying] - residual[dying]
-        remaining[dying] = 0.0
-    np.copyto(residual, remaining, where=alive)
-    alive[dying] = False
-    return charge, overdraft, packets_to_bs, packets_to_ch
+    overdraft = np.maximum(charge - residual, 0.0)
+    np.maximum(residual - charge, 0.0, out=residual)
+    alive &= residual > 0.0
+    return charge, overdraft, ch_ids.size or members.size, nearest.size
 
 
 @dataclass(frozen=True)

@@ -186,7 +186,7 @@ SPEC_KEYS: dict[str, dict[str, _Key]] = {
 _FLAG_HELP = {
     "--output-dir": "override the spec's output directory",
     "--seed-count": "derive this many seeds from the spec's base_seed",
-    "--protocols": "comma-separated subset of deec,ddeec,edeec,eddeec",
+    "--protocols": f"comma-separated subset of {','.join(p.value for p in Protocol)}",
     "--profile": f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
     "of the spec's; the spec's per-key radio values still apply",
     "--emit": f"comma-separated subset of {','.join(EMIT_CHOICES)}",

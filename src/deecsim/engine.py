@@ -202,8 +202,6 @@ class Simulation:
 def run(config: NetworkConfig, backend: Backend | None = None) -> SimResult:
     """Simulate until every node is dead or the round cap is reached."""
     sim = Simulation(config, backend)
-    while sim.round < config.max_rounds:
+    while sim.round < config.max_rounds and sim.alive_count():
         sim.step()
-        if sim._counts[-1][0] == 0:  # the alive count the round recorded
-            break
     return sim.result()

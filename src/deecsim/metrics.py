@@ -188,29 +188,29 @@ def write_lines(lines: list[str], destination) -> None:
 def emit_series_csv(results: list[SimResult], destination) -> None:
     """Write the per-round series of one protocol to ``destination``.
 
-    One row per (seed, round), sorted; floats carry up to 9 significant
-    digits with a decimal point regardless of locale.  An empty result list
-    produces a header-only file.
+    One row per (seed, round), sorted, written one seed at a time; floats
+    carry up to 9 significant digits with a decimal point regardless of
+    locale.  An empty result list produces a header-only file.
     """
     labels = {r.protocol for r in results}
     if len(labels) > 1:
         raise ValueError(f"results span several protocols: {sorted(labels)}")
-    lines = [CSV_HEADER]
-    for result in sorted(results, key=lambda r: r.seed):
-        prefix = f"{result.protocol},{result.seed},"
-        columns = zip(
-            range(result.rounds),
-            result.alive.tolist(),
-            result.packets_bs.tolist(),
-            result.packets_ch.tolist(),
-            result.residual_j.tolist(),
-            result.ch_count.tolist(),
-        )
-        lines.extend(
-            f"{prefix}{rnd},{alive},{bs},{to_ch},{residual:.9g},{heads}"
-            for rnd, alive, bs, to_ch, residual, heads in columns
-        )
-    write_lines(lines, destination)
+    with open(destination, "w", encoding="ascii", newline="") as f:
+        f.write(CSV_HEADER + "\n")
+        for result in sorted(results, key=lambda r: r.seed):
+            prefix = f"{result.protocol},{result.seed},"
+            columns = zip(
+                range(result.rounds),
+                result.alive.tolist(),
+                result.packets_bs.tolist(),
+                result.packets_ch.tolist(),
+                result.residual_j.tolist(),
+                result.ch_count.tolist(),
+            )
+            f.write("".join(
+                f"{prefix}{rnd},{alive},{bs},{to_ch},{residual:.9g},{heads}\n"
+                for rnd, alive, bs, to_ch, residual, heads in columns
+            ))
 
 
 def seed_mean_series(results: list[SimResult], kind: str) -> np.ndarray:

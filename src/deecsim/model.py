@@ -11,8 +11,14 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number (not a string) and finite."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 class NodeClass(IntEnum):
@@ -43,7 +49,7 @@ class RadioParams:
     def __post_init__(self) -> None:
         for name in ("e_elec", "eps_fs", "eps_mp", "e_da", "d0", "message_bits"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise ValueError(f"RadioParams.{name} must be finite and strictly positive")
         if not isinstance(self.message_bits, numbers.Integral):
             raise ValueError("RadioParams.message_bits must be an integer")
@@ -83,13 +89,15 @@ class FieldGeometry:
     bs_position: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.side_m) and self.side_m > 0):
+        if not (_finite(self.side_m) and self.side_m > 0):
             raise ValueError("FieldGeometry.side_m must be finite and strictly positive")
-        if self.bs_position is None:
-            center = (self.side_m / 2.0, self.side_m / 2.0)
-            object.__setattr__(self, "bs_position", center)
-        if not all(map(math.isfinite, self.bs_position)):
-            raise ValueError("FieldGeometry.bs_position must be finite")
+        bs = self.bs_position
+        if bs is None:
+            bs = (self.side_m / 2.0, self.side_m / 2.0)
+        bs = tuple(bs) if isinstance(bs, Iterable) else ()
+        if not (len(bs) == 2 and all(map(_finite, bs))):
+            raise ValueError("FieldGeometry.bs_position must be finite, as exactly two numbers")
+        object.__setattr__(self, "bs_position", tuple(map(float, bs)))
 
 
 def distance(p: tuple[float, float], q: tuple[float, float]) -> float:

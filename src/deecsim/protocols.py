@@ -34,7 +34,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import FieldGeometry, NodeClass, RadioParams
+from .model import FieldGeometry, NodeClass, RadioParams, _finite
 
 # The linear average-energy estimate reaches zero at the estimated lifetime
 # and would go negative past it; it is floored here so probabilities stay
@@ -65,8 +65,8 @@ class HeterogeneityParams:
     e0: float
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.a, self.b, self.e0))):
-            raise ValueError("a, b and e0 must be finite")
+        if not all(map(_finite, (self.m, self.m0, self.a, self.b, self.e0))):
+            raise ValueError("m, m0, a, b and e0 must be finite numbers")
         if not 0.0 <= self.m <= 1.0:
             raise ValueError("m must lie in [0, 1]")
         if not 0.0 <= self.m0 <= 1.0:
@@ -133,12 +133,14 @@ class ProtocolConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", Protocol(self.kind))
+        if not all(map(_finite, (self.p_opt, self.z, self.c))):
+            raise ValueError("p_opt, z and c must be finite numbers")
         if not 0.0 < self.p_opt < 1.0:
             raise ValueError("p_opt must lie in (0, 1)")
         if not 0.0 <= self.z < 1.0:
             raise ValueError("z must lie in [0, 1)")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be finite and strictly positive")
+        if not self.c > 0.0:
+            raise ValueError("c must be strictly positive")
         if self.avg_energy_mode not in ("estimated", "true"):
             raise ValueError("avg_energy_mode must be 'estimated' or 'true'")
 

@@ -2,6 +2,9 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -130,14 +133,16 @@ class TestInitialize:
         ("geometry", ("side_m",)),
         *[("radio", (f.name,)) for f in dataclasses.fields(LEACH)],
         ("het", ("a", "b")), ("het", ("b",)), ("het", ("e0",)), ("protocol", ("c",)),
+        ("het", ("m",)), ("het", ("m0",)), ("protocol", ("p_opt",)), ("protocol", ("z",)),
     ])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.5"])
     def test_non_finite_part_rejected(self, part, fields, bad):
         good = getattr(tiny_config(), part)
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(good, **dict.fromkeys(fields, bad))
 
-    @pytest.mark.parametrize("bs", [(10.0, math.nan), (math.inf, 10.0)])
+    @pytest.mark.parametrize("bs", [(10.0, math.nan), (math.inf, 10.0), (1.0,),
+                                    (1.0, 2.0, 3.0), ("1", "2"), 10.0])
     def test_non_finite_bs_rejected(self, bs):
         with pytest.raises(ValueError, match="finite"):
             FieldGeometry(50.0, bs)
@@ -583,7 +588,8 @@ def steady_cases(draw):
     """Inputs of one steady-state round: members of random alive heads, lone
     heads, direct nodes on rounds without heads and dead nodes, with each
     alive node's residual set below, at, just above or well above its
-    charge, so that deaths, overdraft and exactly-zero remainders occur.
+    charge, so that deaths, overdraft and exactly-zero remainders occur,
+    and each dead node's residual at zero or above it.
     Positions may sit on a coarse lattice, where nodes share positions and
     members sit on their heads."""
     n = draw(st.integers(1, 40))
@@ -616,7 +622,9 @@ def steady_cases(draw):
     (charge, *_), _, _ = _steady(_steady_loop, case)
     scale = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0]),
                                    min_size=n, max_size=n)))
-    case["residual"] = np.where(case["alive"], charge * scale, 0.0)
+    dead_residual = np.array(draw(st.lists(st.sampled_from([0.0, 0.25]),
+                                           min_size=n, max_size=n)))
+    case["residual"] = np.where(case["alive"], charge * scale, dead_residual)
     return case
 
 
@@ -883,3 +891,31 @@ class TestGoldenDigests:
             assert d2.shape == hop.shape == (config.n, config.n)
             assert not tiled.called
             assert result.alive[-1] == 0 and result.rounds < config.max_rounds
+
+
+# Run in the child: the module named by argv[1] lists numpy's dispatch
+# targets, and none may still be enabled; then pytest reruns argv[2].
+_BASELINE_CHILD = """
+import importlib, sys, pytest
+umath = importlib.import_module(sys.argv[1])
+enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+assert not enabled, f"dispatch targets still enabled: {enabled}"
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[2]]))
+"""
+
+
+def test_golden_digests_at_baseline_dispatch():
+    """The golden fast set holds with numpy's SIMD dispatch cut to its
+    baseline loops, in a child process: the variable acts only there."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(umath.__cpu_dispatch__)}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)  # numpy refuses both at once
+    child = subprocess.run(
+        [sys.executable, "-c", _BASELINE_CHILD, umath.__name__,
+         f"{__file__}::{TestGoldenDigests.__name__}"],
+        cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
