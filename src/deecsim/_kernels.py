@@ -249,8 +249,7 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     d2 = _squared_distances(sx, sy, hx[pos], hy[pos])
     rest = (~(d2 < accept)).nonzero()[0]
     nearest = ids[pos]
-    if rest.size:
-        nearest[rest] = _nearest_dense(sx[rest], sy[rest], hx, hy, ids)
+    nearest[rest] = _nearest_dense(sx[rest], sy[rest], hx, hy, ids)
     out = np.empty_like(nearest)
     out[order] = nearest
     return out

@@ -96,6 +96,7 @@ class _Key(NamedTuple):
     field: str | None = None  # None: the key's own name
     noun: str | None = None  # the items of a comma list
     default: Any = None
+    flag: str | None = None  # the help of the CLI flag that sets the key
 
 
 def _emit_kind(token: str) -> str:
@@ -146,7 +147,9 @@ SPEC_KEYS: dict[str, dict[str, _Key]] = {
     },
     "radio": {
         # the named profile's values, replaced by the radio keys given
-        "profile": _Key(_profile, default=_DEFAULT.radio),
+        "profile": _Key(_profile, default=_DEFAULT.radio,
+                        flag=f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in "
+                        "place of the spec's; the spec's per-key radio values still apply"),
         "e_elec_j": _Key(float, "radio", "e_elec"),
         "eps_fs_j": _Key(float, "radio", "eps_fs"),
         "eps_mp_j": _Key(float, "radio", "eps_mp"),
@@ -169,38 +172,26 @@ SPEC_KEYS: dict[str, dict[str, _Key]] = {
     },
     "experiment": {
         "protocols": _Key(lambda token: Protocol(token.lower()), noun="protocol",
-                          default=tuple(Protocol)),
+                          default=tuple(Protocol),
+                          flag=f"comma-separated subset of {','.join(p.value for p in Protocol)}"),
         "seeds": _Key(_at_least(0), noun="seed"),
         "base_seed": _Key(int, "derive"),
-        "seed_count": _Key(_at_least(1), "derive", "count"),
-        "output_dir": _Key(Path, default=Path("results")),
-        "emit": _Key(_emit_kind, noun="kind", default=EMIT_CHOICES),
-        "jobs": _Key(_at_least(1), default=1),
+        "seed_count": _Key(_at_least(1), "derive", "count",
+                           flag="derive this many seeds from the spec's base_seed"),
+        "output_dir": _Key(Path, default=Path("results"),
+                           flag="override the spec's output directory"),
+        "emit": _Key(_emit_kind, noun="kind", default=EMIT_CHOICES,
+                     flag=f"comma-separated subset of {','.join(EMIT_CHOICES)}"),
+        "jobs": _Key(_at_least(1), default=1,
+                     flag="worker processes for independent (protocol, seed) runs"),
     },
 }
 
-# Every CLI flag with its help, in --help order.  A flag sets the spec key
-# it is named after (--seed-count sets seed_count), which is also the
-# argparse destination of its value.  The value replaces the key's on the
-# parsed spec before validation, and errors about the key name the flag.
-_FLAG_HELP = {
-    "--output-dir": "override the spec's output directory",
-    "--seed-count": "derive this many seeds from the spec's base_seed",
-    "--protocols": f"comma-separated subset of {','.join(p.value for p in Protocol)}",
-    "--profile": f"radio profile ({' or '.join(sorted(RADIO_PROFILES))}) to use in place "
-    "of the spec's; the spec's per-key radio values still apply",
-    "--emit": f"comma-separated subset of {','.join(EMIT_CHOICES)}",
-    "--jobs": "worker processes for independent (protocol, seed) runs",
-}
-
-# flag -> (section, key, help)
-FLAGS = {
-    flag: (section, key, help)
-    for flag, help in _FLAG_HELP.items()
-    for section, keys in SPEC_KEYS.items()
-    for key in keys
-    if key == flag[2:].replace("-", "_")
-}
+# flag -> (section, key, help), in --help order.  A flag sets the spec key it
+# is named after, also its value's argparse destination: the value replaces
+# the key's on the parsed spec before validation, and errors name the flag.
+FLAGS = {"--" + key.replace("_", "-"): (section, key, how.flag)
+         for section, keys in SPEC_KEYS.items() for key, how in keys.items() if how.flag}
 
 
 def resolve_spec_path(spec: str) -> Path:
@@ -306,7 +297,7 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
     if (got.bs_x is None) != (got.bs_y is None):
         raise SpecError(f"{where}: [network] bs_x and bs_y must be given together")
     bs = None if got.bs_x is None else (got.bs_x, got.bs_y)
-    # each constructor checks its ranges once, the template the quotas
+    # each constructor checks its ranges once
     try:
         template = replace(
             _DEFAULT,

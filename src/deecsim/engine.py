@@ -49,8 +49,6 @@ class NetworkConfig:
             raise ValueError("max_rounds must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must not be negative")
-        # surfaces quota problems (e.g. negative advanced count) at config time
-        self.het.class_counts(self.n)
 
 
 class Simulation:

@@ -272,10 +272,13 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     Each polyline is the seed-mean series (one vertex per round), drawn
     with a fixed palette and legend, in the palette's protocol order; no
     scripting or interactivity.  An unknown plot kind (checked by
-    :func:`seed_mean_series`) or a protocol label with no colour is an error.
+    :func:`seed_mean_series`), a result with no rounds or a protocol label
+    with no colour is an error.
     """
     if not results:
         raise ValueError("need at least one result to plot")
+    if not all(r.rounds for r in results):
+        raise ValueError("cannot plot a result with no rounds")
     unknown = {r.protocol for r in results} - set(_PALETTE)
     if unknown:
         raise ValueError(f"no colour for protocol(s) {', '.join(sorted(unknown))}")
@@ -293,7 +296,7 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     plot_h = height - top - bottom
 
     def sx(x):
-        return left + plot_w * (x / x_max) if x_max else left
+        return left + plot_w * (x / x_max)
 
     def sy(y):
         return top + plot_h * (1.0 - y / y_max)

@@ -2,6 +2,8 @@ import concurrent.futures
 import hashlib
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -354,6 +356,20 @@ class TestMain:
         assert main(["run", str(path)]) == EXIT_OK
         assert (out / "summary.txt").exists()
         assert "artifacts written" in capsys.readouterr().out
+
+    def test_python_m_entry_point(self, tmp_path):
+        # the documented `python -m deecsim`, with src on the import path
+        out = tmp_path / "results"
+        path = write_tiny_spec(tmp_path, out)
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-m", "deecsim", "run", str(path), "--output-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert child.returncode == EXIT_OK, child.stdout + child.stderr
+        assert (out / "summary.txt").is_file()
 
     def test_missing_spec_is_validation_error(self, capsys):
         assert main(["run", "does-not-exist.cfg"]) == EXIT_VALIDATION

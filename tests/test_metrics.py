@@ -78,6 +78,10 @@ class TestBatchSummary:
         assert batch.first_dead.mean == 25.0
         assert batch.all_dead.mean == 25.0
 
+    def test_empty_results_rejected(self):
+        with pytest.raises(ValueError, match="at least one result"):
+            BatchSummary.from_results([])
+
     def test_mixed_protocols_rejected(self):
         with pytest.raises(ValueError):
             BatchSummary.from_results(
@@ -216,6 +220,24 @@ class TestSvg:
         with pytest.raises(ValueError, match="no colour for protocol"):
             emit_plot_svg(results, "alive_vs_round", tmp_path / "x.svg")
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("kind", ["alive_vs_round", "packets_vs_round"])
+    @pytest.mark.parametrize("results, error", [
+        ([], "at least one result"),
+        ([fake_result([], n=5)], "no rounds"),
+        ([fake_result([5, 0], n=5), fake_result([], n=5, seed=2)], "no rounds"),
+    ])
+    def test_no_rounds_rejected(self, tmp_path, kind, results, error):
+        with pytest.raises(ValueError, match=error):
+            emit_plot_svg(results, kind, tmp_path / "x.svg")
+        assert not (tmp_path / "x.svg").exists()
+
+    def test_all_dead_series_drawn_on_x_axis(self, tmp_path):
+        # y_max would be 0 here; the y axis spans [0, 1] instead
+        dest = tmp_path / "alive.svg"
+        emit_plot_svg([fake_result([0, 0, 0], n=5)], "alive_vs_round", dest)
+        points = re.findall(r'<polyline[^>]*points="([^"]*)"', dest.read_text())[0]
+        assert {float(pt.split(",")[1]) for pt in points.split()} == {460.0}
 
     @pytest.mark.parametrize("order", [
         ("eddeec", "edeec", "ddeec", "deec"), ("ddeec", "eddeec", "deec", "edeec"),

@@ -93,6 +93,10 @@ class TestAggregationEnergy:
         with pytest.raises(ValueError):
             aggregation_energy(4000, 0, TABLE1)
 
+    def test_zero_bits_rejected(self):
+        with pytest.raises(ValueError, match="bits must be strictly positive"):
+            aggregation_energy(0, 1, TABLE1)
+
 
 class TestDeduct:
     """The per-round charge rule, on the engine's steady kernel: one direct

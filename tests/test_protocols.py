@@ -80,6 +80,10 @@ class TestHeterogeneityParams:
             HeterogeneityParams(m=0.5, m0=0.5, a=3.0, b=2.0, e0=0.5)
         with pytest.raises(ValueError):
             HeterogeneityParams(m=0.5, m0=0.5, a=1.0, b=2.0, e0=0.0)
+        with pytest.raises(ValueError, match="m0 must lie in"):
+            HeterogeneityParams(m=0.5, m0=1.2, a=1.0, b=2.0, e0=0.5)
+        with pytest.raises(ValueError, match="negative quota for n=-1"):
+            HeterogeneityParams(m=0.5, m0=0.5, a=1.0, b=2.0, e0=0.5).class_counts(-1)
 
 
 class TestProtocolConfig:
@@ -105,6 +109,20 @@ class TestProtocolConfig:
 
 
 class TestEstimators:
+    @pytest.mark.parametrize("call, error", [
+        (lambda: estimate_average_energy(0, 0, 214.0, 5000.0), "n must be"),
+        (lambda: estimate_average_energy(0, 100, 214.0, 0.0), "r_lifetime must be"),
+        (lambda: estimate_average_energy(-1, 100, 214.0, 5000.0), "round index"),
+        (lambda: expected_distances(0.0, 1), "side_m must be"),
+        (lambda: expected_distances(100.0, 0), "k must be"),
+        (lambda: energy_per_round(0, 5, FieldGeometry(100.0), TABLE1), "n must be"),
+        (lambda: optimal_cluster_count(0, 100.0, TABLE1, 38.25), "n must be"),
+        (lambda: optimal_cluster_count(100, 100.0, TABLE1, 0.0), "d_to_bs must be"),
+    ])
+    def test_validation(self, call, error):
+        with pytest.raises(ValueError, match=error):
+            call()
+
     def test_average_energy_round_zero(self):
         # E_total = 214 J for the benchmark population; at r=0 the estimate
         # is the plain per-node share
