@@ -91,7 +91,7 @@ class Simulation:
         self.node_class = node_class
 
         per_class = np.array(
-            [config.het.initial_energy(NodeClass(c)) for c in range(3)], dtype=np.float64
+            [config.het.initial_energy(c) for c in NodeClass], dtype=np.float64
         )
         self.initial_energy = per_class[node_class]
         self.residual = self.initial_energy.copy()

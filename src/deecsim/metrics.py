@@ -15,7 +15,11 @@ import numpy as np
 
 CSV_HEADER = "protocol,seed,round,alive,packets_bs,packets_ch,residual_j,ch_count"
 
-PLOT_KINDS = ("alive_vs_round", "packets_vs_round")
+# each chart kind's SimResult series, title and y-axis label, in emission order
+PLOT_KINDS = {
+    "alive_vs_round": ("alive", "Alive nodes per round", "alive nodes"),
+    "packets_vs_round": ("packets_bs", "Cumulative packets to BS", "packets to BS (cumulative)"),
+}
 
 # each protocol's colour, in legend order, so artifacts are deterministic
 _PALETTE = {
@@ -216,19 +220,17 @@ def emit_series_csv(results: list[SimResult], destination) -> None:
 def seed_mean_series(results: list[SimResult], kind: str) -> np.ndarray:
     """Mean series across seeds for one protocol.
 
-    Shorter runs are padded to the longest: a dead network keeps 0 alive
-    nodes and stops producing packets, so alive pads with 0 and cumulative
-    packets pad with their final value.
+    Shorter runs are padded to the longest: a run that has ended keeps its
+    last value (a dead network's 0 alive nodes, its final packet count).
     """
     if kind not in PLOT_KINDS:
         raise ValueError(f"unknown plot kind {kind!r}")
     length = max(r.rounds for r in results)
     stacked = np.zeros((len(results), length), dtype=np.float64)
     for row, result in enumerate(results):
-        series = result.alive if kind == "alive_vs_round" else result.packets_bs
+        series = getattr(result, PLOT_KINDS[kind][0])
         stacked[row, : len(series)] = series
-        if kind == "packets_vs_round" and len(series) < length:
-            stacked[row, len(series):] = series[-1]
+        stacked[row, len(series):] = series[-1:]
     return stacked.mean(axis=0)
 
 
@@ -301,11 +303,7 @@ def emit_plot_svg(results: list[SimResult], kind: str, destination) -> None:
     def sy(y):
         return top + plot_h * (1.0 - y / y_max)
 
-    if kind == "alive_vs_round":
-        title, y_label = "Alive nodes per round", "alive nodes"
-    else:
-        title, y_label = "Cumulative packets to BS", "packets to BS (cumulative)"
-
+    _, title, y_label = PLOT_KINDS[kind]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
         f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',

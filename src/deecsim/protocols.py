@@ -82,11 +82,8 @@ class HeterogeneityParams:
         return 1.0 + self.m * (self.a + self.m0 * self.b)
 
     def initial_energy(self, node_class: NodeClass) -> float:
-        if node_class == NodeClass.NORMAL:
-            return self.e0
-        if node_class == NodeClass.ADVANCED:
-            return self.e0 * (1.0 + self.a)
-        return self.e0 * (1.0 + self.b)
+        """Starting energy of the class; ``ValueError`` if not a NodeClass."""
+        return (self.e0, self.e0 * (1.0 + self.a), self.e0 * (1.0 + self.b))[NodeClass(node_class)]
 
     def class_counts(self, n: int) -> tuple[int, int, int]:
         """Deterministic (normal, advanced, super) quotas for ``n`` nodes.
@@ -256,15 +253,14 @@ def election_constants(
     advanced and super class, and the low-energy rule's threshold and
     ``p_opt * w_low``.  A negative ``t_low`` disables the rule.
     """
-    if cfg.kind in (Protocol.DEEC, Protocol.DDEEC):
-        weights = (1.0, 1.0 + het.a, 1.0 + het.a)
-    else:
-        weights = (1.0, 1.0 + het.a, 1.0 + het.b)
-    if cfg.kind == Protocol.EDDEEC:
-        t_low, w_low = absolute_threshold(cfg.z, het.e0), cfg.c * (1.0 + het.b)
-    elif cfg.kind == Protocol.DDEEC:
-        t_low, w_low = absolute_threshold(cfg.z, het.e0), 1.0 + het.a
-    else:
-        t_low, w_low = -1.0, 0.0
-    pw_by_class = np.array([cfg.p_opt * w for w in weights], dtype=np.float64)
-    return pw_by_class, t_low, cfg.p_opt * w_low
+    # the module table's rows: super nodes' bonus, low-energy weight or None
+    bonus, w_low = {
+        Protocol.DEEC: (het.a, None),
+        Protocol.DDEEC: (het.a, 1.0 + het.a),
+        Protocol.EDEEC: (het.b, None),
+        Protocol.EDDEEC: (het.b, cfg.c * (1.0 + het.b)),
+    }[cfg.kind]
+    pw_by_class = np.array([cfg.p_opt * w for w in (1.0, 1.0 + het.a, 1.0 + bonus)])
+    if w_low is None:
+        return pw_by_class, -1.0, 0.0
+    return pw_by_class, absolute_threshold(cfg.z, het.e0), cfg.p_opt * w_low

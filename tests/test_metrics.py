@@ -183,6 +183,11 @@ class TestSeedMeanSeries:
         last_a = float(a.packets_bs[-1])
         assert mean[-1] == (last_a + float(b.packets_bs[-1])) / 2
 
+    def test_capped_run_keeps_its_survivors(self):
+        # a run stopped at a lower round cap has not died: it pads with its last value
+        results = [fake_result([4, 4, 4], n=4), fake_result([4, 4, 4, 4, 4], n=4)]
+        assert seed_mean_series(results, "alive_vs_round")[3] == 4.0
+
 
 class TestSvg:
     def test_single_result_polyline_matches_series_length(self, tmp_path):

@@ -61,6 +61,9 @@ class TestHeterogeneityParams:
         assert het_sec3.initial_energy(NodeClass.NORMAL) == 0.5
         assert het_sec3.initial_energy(NodeClass.ADVANCED) == pytest.approx(1.5, rel=1e-15)
         assert het_sec3.initial_energy(NodeClass.SUPER) == pytest.approx(2.25, rel=1e-15)
+        for not_a_class in (3, -1):
+            with pytest.raises(ValueError):
+                het_sec3.initial_energy(not_a_class)
 
     @given(
         n=st.integers(min_value=1, max_value=500),
