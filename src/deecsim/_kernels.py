@@ -12,6 +12,10 @@ gates (C4, C5, C8, C9) test these same functions;
 ``protocols.election_constants`` supplies their per-run constants.
 ``model.tx_energy``, ``rx_energy``, ``aggregation_energy`` and ``distance``
 write the scalar forms, which the tests use as the independent reference.
+Every kernel that applies the radio law (:func:`_transmit`,
+:func:`_head_charge`, :func:`_pair_tables` and the steady kernel) takes the
+run's ``RadioParams`` as one argument, as ``model.tx_energy`` does, and
+reads its fields by name, so this module imports nothing from the package.
 
 The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
@@ -98,23 +102,26 @@ def _elect_numpy(residual, alive, ineligible_until, u, rnd,
     return heads
 
 
-def _transmit(d, bits, e_elec, eps_fs, eps_mp, d0):
-    """First-order radio cost of sending ``bits`` over distances ``d``.
+def _transmit(d, radio):
+    """First-order cost of sending ``bits = radio.message_bits`` over ``d``.
 
     ``bits*e_elec + bits*eps_fs*d**2`` below ``d0`` and
     ``bits*e_elec + bits*eps_mp*d**4`` at or above it.
     """
+    bits = radio.message_bits
     d2 = d * d
-    return bits * e_elec + np.where(d < d0, bits * eps_fs * d2, bits * eps_mp * (d2 * d2))
+    return bits * radio.e_elec + np.where(
+        d < radio.d0, bits * radio.eps_fs * d2, bits * radio.eps_mp * (d2 * d2))
 
 
-def _head_charge(members, tx_bs, bits, e_elec, e_da):
-    """Round cost of heads with ``members`` members each.
+def _head_charge(members, tx_bs, radio):
+    """Round cost of heads with ``members`` members each, under ``radio``.
 
     Reception per member, ``bits*e_elec`` each; aggregation over
     ``members + 1`` signals, ``bits*e_da`` each; and the uplink ``tx_bs``.
     """
-    return members * (bits * e_elec) + bits * e_da * (members + 1.0) + tx_bs
+    bits = radio.message_bits
+    return members * (bits * radio.e_elec) + bits * radio.e_da * (members + 1.0) + tx_bs
 
 
 def _squared_distances(ax, ay, bx, by):
@@ -146,7 +153,7 @@ def _nearest_dense(mx, my, hx, hy, ids):
 _PAIR_TABLE_MAX_NODES = 512
 
 
-def _pair_tables(x, y, bits, e_elec, eps_fs, eps_mp, d0):
+def _pair_tables(x, y, radio):
     """The (n, n) tables ``(d2, hop)`` of every node pair ``(i, j)``, or
     ``(None, None)`` for more than ``_PAIR_TABLE_MAX_NODES`` nodes.
 
@@ -157,18 +164,20 @@ def _pair_tables(x, y, bits, e_elec, eps_fs, eps_mp, d0):
     if x.size > _PAIR_TABLE_MAX_NODES:
         return None, None
     d2 = _squared_distances(x[:, None], y[:, None], x, y)
-    return d2, _transmit(np.sqrt(d2), bits, e_elec, eps_fs, eps_mp, d0)
+    return d2, _transmit(np.sqrt(d2), radio)
 
 
-# Members x heads pairs below which one dense block beats the tiled search.
-# Measured on engine rounds at n = 300..1000 on the paper's 100 m field
-# (2-core x86-64, numpy 2.4): between about 15k and 60k pairs the faster
-# search changes from round to round, and the tiled one wins on most rounds
-# above 60k.  On the same host, at n = 5000 (about 300 heads, 1.4M pairs a
-# round) assignment takes about 2 ms a round instead of 30 ms, and the dense
-# block's two members x heads buffers of up to 14 MB each give way to
-# per-tile blocks of a few tens of kB; at n = 20000 (about 1400 heads) it
-# takes about 8 ms.
+# Members x heads pairs below which the dense block decides every member.
+# Timed on uniform random layouts on the paper's 100 m field (2-core x86-64,
+# numpy 2.4): the dense block is 1.6-2.7x faster at 9.6k-24k pairs, and the
+# tiled search 1.1-1.4x faster from 28.8k pairs with 32 heads, but at 32k
+# pairs with 48-64 heads the dense block still wins by 1.4-1.6x.  So the
+# crossover depends on the shape; the cutoff stays at 40k until a workload
+# with rounds in that range (n = 600) settles it.  On the same host, at
+# n = 5000 (about 300 heads, 1.4M pairs a round) assignment takes about 2 ms
+# a round instead of 30 ms, and the dense block's two members x heads
+# buffers of up to 14 MB each give way to per-tile blocks of a few tens of
+# kB; at n = 20000 (about 1400 heads) it takes about 8 ms.
 _TILE_MIN_PAIRS = 40_000
 # Tiles per side are floor(sqrt(heads / _HEADS_PER_TILE)).
 _HEADS_PER_TILE = 8
@@ -280,18 +289,18 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
     return members, _nearest_tiled(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
 
 
-def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                  bits, e_elec, eps_fs, eps_mp, d0, e_da, hop=None):
+def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, hop=None):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
-    ``_assign_numpy``'s result.  Each member transmits to its nearest head
-    over the actual distance (read from ``_pair_tables``' ``hop`` when it
-    is given) and each head pays ``_head_charge``; on rounds without heads
-    each member uplinks directly and pays ``tx_bs``.  Residuals are clamped
-    at zero, the shortfall is the overdraft, and a node dies at zero.  Dead
-    nodes must carry no charge, and stay dead.  Returns per-node charge and
-    overdraft and the packet counts to the BS and to heads.
+    ``_assign_numpy``'s result, ``radio`` the run's ``RadioParams``.  Each
+    member transmits to its nearest head over the actual distance (read
+    from ``_pair_tables``' ``hop`` when it is given) and each head pays
+    ``_head_charge``; on rounds without heads each member uplinks directly
+    and pays ``tx_bs``.  Residuals are clamped at zero, the shortfall is
+    the overdraft, and a node dies at zero.  Dead nodes must carry no
+    charge, and stay dead.  Returns per-node charge and overdraft and the
+    packet counts to the BS and to heads.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -300,9 +309,9 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
             charge[members] = hop[members, nearest]
         else:
             d = _squared_distances(x[members], y[members], x[nearest], y[nearest])
-            charge[members] = _transmit(np.sqrt(d, out=d), bits, e_elec, eps_fs, eps_mp, d0)
+            charge[members] = _transmit(np.sqrt(d, out=d), radio)
         counts = np.bincount(nearest, minlength=n)[ch_ids]
-        charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], bits, e_elec, e_da)
+        charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], radio)
     else:
         charge[members] = tx_bs[members]
     overdraft = np.maximum(charge - residual, 0.0)

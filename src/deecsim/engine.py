@@ -69,7 +69,9 @@ class Simulation:
     it they hold 16 * n**2 bytes in all and the round kernels read
     distances and hop costs from them; above it both are ``None`` and the
     kernels compute from the coordinates.  Either way a run's numbers are
-    the same bits (see ``_kernels``).
+    the same bits (see ``_kernels``).  ``_transmit``, ``_pair_tables`` and
+    the steady kernel take the run's ``RadioParams``, ``config.radio``, as
+    ``model.tx_energy`` does.
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -112,11 +114,8 @@ class Simulation:
         )
         self._pw = pw_by_class[node_class]
         self._energy_factor = config.het.total_energy_factor
-        radio = config.radio
-        law = (float(radio.message_bits), radio.e_elec, radio.eps_fs, radio.eps_mp, radio.d0)
-        self.tx_bs = _transmit(self.dist_to_bs, *law)
-        self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, *law)
-        self._radio_args = (*law, radio.e_da)
+        self.tx_bs = _transmit(self.dist_to_bs, config.radio)
+        self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, config.radio)
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)
         # and (residual, charged, overdraft) in joules
@@ -165,7 +164,7 @@ class Simulation:
         death."""
         charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
             self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
-            *self._radio_args, self.pair_hop,
+            self.config.radio, self.pair_hop,
         )
         self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, clusters[0].size))
         self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))

@@ -77,13 +77,13 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
     return members[:k], nearest[:k if ch_ids.size else 0]
 
 
-def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
-                 bits, e_elec, eps_fs, eps_mp, d0, e_da, hop=None):
+def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, hop=None):
     n = x.shape[0]
+    bits = radio.message_bits
     charge = np.zeros(n, dtype=np.float64)
     overdraft = np.zeros(n, dtype=np.float64)
     member_count = np.zeros(n, dtype=np.int64)
-    electronics = bits * e_elec
+    electronics = bits * radio.e_elec
     packets_to_ch = 0
     packets_to_bs = 0
 
@@ -99,17 +99,17 @@ def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest,
         dy = y[i] - y[c]
         d = math.sqrt(dx * dx + dy * dy)
         d2 = d * d
-        if d < d0:
-            charge[i] = electronics + bits * eps_fs * d2
+        if d < radio.d0:
+            charge[i] = electronics + bits * radio.eps_fs * d2
         else:
-            charge[i] = electronics + bits * eps_mp * (d2 * d2)
+            charge[i] = electronics + bits * radio.eps_mp * (d2 * d2)
         member_count[c] += 1
         packets_to_ch += 1
 
     for j in range(ch_ids.size):
         i = ch_ids[j]
         counts = np.float64(member_count[i])
-        charge[i] = counts * electronics + bits * e_da * (counts + 1.0) + tx_bs[i]
+        charge[i] = counts * electronics + bits * radio.e_da * (counts + 1.0) + tx_bs[i]
         packets_to_bs += 1
 
     for i in range(n):

@@ -269,9 +269,7 @@ class TestPairTables:
         radio = sim.config.radio
         d = np.sqrt(d2)
         assert (d < radio.d0).any() and (d >= radio.d0).any()  # both branches of the law
-        assert np.array_equal(hop, _kernels._transmit(
-            d, float(radio.message_bits), radio.e_elec, radio.eps_fs,
-            radio.eps_mp, radio.d0))
+        assert np.array_equal(hop, _kernels._transmit(d, radio))
 
 
 def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
@@ -291,11 +289,6 @@ def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
 
 def _pairs(alive, ch_ids):
     return (int(alive.sum()) - ch_ids.size) * ch_ids.size
-
-
-def _pair_tables(x, y, radio=LEACH):
-    return _kernels._pair_tables(x, y, float(radio.message_bits), radio.e_elec,
-                                 radio.eps_fs, radio.eps_mp, radio.d0)
 
 
 def _assert_matches_brute_force(x, y, alive, ch_ids):
@@ -417,7 +410,7 @@ class TestAssignExactness:
         # lattice ties, shared positions, dead nodes and rounds without heads
         x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice,
                                              dead_frac=dead_frac)
-        d2, _ = _pair_tables(x, y)
+        d2, _ = _kernels._pair_tables(x, y, LEACH)
         searched = AssertionError("the table path searched")
         with (mock.patch.object(_kernels, "_nearest_dense", side_effect=searched),
               mock.patch.object(_kernels, "_nearest_tiled", side_effect=searched)):
@@ -591,7 +584,7 @@ def steady_cases(draw):
     charge, so that deaths, overdraft and exactly-zero remainders occur,
     and each dead node's residual at zero or above it.
     Positions may sit on a coarse lattice, where nodes share positions and
-    members sit on their heads."""
+    members sit on their heads.  The radio is either shipped profile."""
     n = draw(st.integers(1, 40))
     roles = draw(st.lists(st.sampled_from(["head", "member", "dead"]),
                           min_size=n, max_size=n))
@@ -608,16 +601,13 @@ def steady_cases(draw):
     if lattice is not None:
         x = np.round(x / lattice) * lattice
         y = np.round(y / lattice) * lattice
-    bits = float(LEACH.message_bits)
-    tx_bs = _kernels._transmit(np.hypot(x - 100.0, y - 100.0), bits, LEACH.e_elec,
-                               LEACH.eps_fs, LEACH.eps_mp, LEACH.d0)
+    radio = draw(st.sampled_from(list(RADIO_PROFILES.values())))
+    tx_bs = _kernels._transmit(np.hypot(x - 100.0, y - 100.0), radio)
     case = {
         "x": x, "y": y, "tx_bs": tx_bs,
         "residual": np.zeros(n), "alive": np.array([role != "dead" for role in roles]),
         "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
-        "nearest": np.array(nearest, dtype=np.int64),
-        "bits": bits, "e_elec": LEACH.e_elec, "eps_fs": LEACH.eps_fs,
-        "eps_mp": LEACH.eps_mp, "e_da": LEACH.e_da, "d0": LEACH.d0,
+        "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
     }
     (charge, *_), _, _ = _steady(_steady_loop, case)
     scale = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0]),
@@ -640,7 +630,7 @@ class TestSteadyKernels:
     def test_numpy_equals_loop(self, case):
         expected, expected_residual, expected_alive = _steady(_steady_loop, case)
         # charged from the coordinates and from the hop table alike
-        _, hop = _pair_tables(case["x"], case["y"])
+        _, hop = _kernels._pair_tables(case["x"], case["y"], case["radio"])
         for table in (None, hop):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -740,8 +730,7 @@ class TestSteadyState:
         alive = np.array([True, True, True, False])
         charge, overdraft, to_bs, to_ch = kernels.steady(
             np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
-            no_heads, np.array([0, 1, 2]), no_heads,
-            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.d0, LEACH.e_da,
+            no_heads, np.array([0, 1, 2]), no_heads, LEACH,
         )
         assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
         # residual > charge: alive with the difference; residual == charge:

@@ -109,8 +109,7 @@ class TestDeduct:
         no_heads = np.array([], dtype=np.int64)
         charge, overdraft, *_ = get_backend().steady(
             np.zeros(1), np.zeros(1), np.array([cost]), residual, alive,
-            no_heads, np.array([0]), no_heads,
-            4000.0, LEACH.e_elec, LEACH.eps_fs, LEACH.eps_mp, LEACH.e_da, LEACH.d0,
+            no_heads, np.array([0]), no_heads, LEACH,
         )
         assert charge[0] == cost
         return residual[0], bool(alive[0]), overdraft[0]
