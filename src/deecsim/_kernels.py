@@ -19,7 +19,8 @@ reads its fields by name, so this module imports nothing from the package.
 
 The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
-of those heads, and the steady kernel charges from the three.
+of those heads, and the steady kernel the per-node charges from the
+three; the engine takes every count and sum of the round, packets too.
 
 Nodes never move during a run.  So the engine asks :func:`_pair_tables`
 once per run for two (n, n) pair tables: every pair's squared distance
@@ -299,8 +300,7 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
     ``_head_charge``; on rounds without heads each member uplinks directly
     and pays ``tx_bs``.  Residuals are clamped at zero, the shortfall is
     the overdraft, and a node dies at zero.  Dead nodes must carry no
-    charge, and stay dead.  Returns per-node charge and overdraft and the
-    packet counts to the BS and to heads.
+    charge, and stay dead.  Returns the per-node ``(charge, overdraft)``.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -317,17 +317,17 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
     overdraft = np.maximum(charge - residual, 0.0)
     np.maximum(residual - charge, 0.0, out=residual)
     alive &= residual > 0.0
-    return charge, overdraft, ch_ids.size or members.size, nearest.size
+    return charge, overdraft
 
 
 @dataclass(frozen=True)
 class Backend:
     """The three round kernels ``Simulation`` calls, under a reported name.
 
-    ``assign`` takes the run's ``d2`` pair table as its last argument and
-    ``steady`` its ``hop`` table, each ``None`` above
-    ``_PAIR_TABLE_MAX_NODES``; a kernel set may ignore them, as the tables
-    hold only what the coordinates give.
+    ``steady`` returns the per-node ``(charge, overdraft)``.  ``assign``
+    takes the run's ``d2`` pair table as its last argument and ``steady``
+    its ``hop`` table, each ``None`` above ``_PAIR_TABLE_MAX_NODES``; a
+    kernel set may ignore them, as they hold only what the coordinates give.
     """
 
     name: str

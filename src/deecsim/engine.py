@@ -57,10 +57,10 @@ class Simulation:
     ``step()`` advances one round (elect, form clusters, transfer data);
     the three phases are also callable individually, each taking what the
     one before returns: the head ids, then the clusters ``(ch_ids, members,
-    nearest)``.  ``steady_state`` records one row per round, and
-    ``result()`` returns the series of the rounds run so far.  ``backend``
-    swaps in other round kernels with the same contract as
-    ``get_backend()``'s.
+    nearest)``.  ``steady_state`` takes every count and sum of a round
+    into one row, and ``result()`` returns the series of the rounds run so
+    far.  ``backend`` swaps in other round kernels with the same contract
+    as ``get_backend()``'s.
 
     Node positions ``x`` and ``y`` are fixed for the run and read-only.
     The constructor takes the run's pair tables ``pair_d2`` (squared
@@ -69,9 +69,7 @@ class Simulation:
     it they hold 16 * n**2 bytes in all and the round kernels read
     distances and hop costs from them; above it both are ``None`` and the
     kernels compute from the coordinates.  Either way a run's numbers are
-    the same bits (see ``_kernels``).  ``_transmit``, ``_pair_tables`` and
-    the steady kernel take the run's ``RadioParams``, ``config.radio``, as
-    ``model.tx_energy`` does.
+    the same bits (see ``_kernels``).
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -159,14 +157,17 @@ class Simulation:
 
     def steady_state(self, clusters: tuple) -> None:
         """Charge the transfers of ``form_clusters``' clusters, apply
-        deaths, record the round's row and advance the round.  Only nodes
-        that die overdraw, so the overdraft is 0.0 on rounds without a
-        death."""
-        charge, overdraft, packets_to_bs, packets_to_ch = self.kernels.steady(
+        deaths, record the round's row and advance the round.  Packets come
+        from the clusters: to the BS one per head (per member if none), to
+        heads one per ``nearest`` entry.  Only nodes that die overdraw, so
+        the overdraft is 0.0 on rounds without a death."""
+        ch_ids, members, nearest = clusters
+        charge, overdraft = self.kernels.steady(
             self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
             self.config.radio, self.pair_hop,
         )
-        self._counts.append((self.alive_count(), packets_to_bs, packets_to_ch, clusters[0].size))
+        to_bs = ch_ids.size or members.size
+        self._counts.append((self.alive_count(), to_bs, nearest.size, ch_ids.size))
         self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))
         self.round += 1
 

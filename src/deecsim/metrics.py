@@ -70,7 +70,6 @@ class LifetimeSummary:
     half_dead: int | None
     all_dead: int | None
     total_packets_bs: int
-    total_packets_ch: int
     rounds: int
 
 
@@ -94,7 +93,6 @@ def summarize(result: SimResult) -> LifetimeSummary:
         half_dead=first_index(alive <= result.n / 2),
         all_dead=first_index(alive == 0),
         total_packets_bs=int(result.packets_bs[-1]),
-        total_packets_ch=int(result.packets_ch[-1]),
         rounds=result.rounds,
     )
 

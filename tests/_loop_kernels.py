@@ -84,13 +84,10 @@ def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, 
     overdraft = np.zeros(n, dtype=np.float64)
     member_count = np.zeros(n, dtype=np.int64)
     electronics = bits * radio.e_elec
-    packets_to_ch = 0
-    packets_to_bs = 0
 
     if ch_ids.size == 0:
         for i in members:
             charge[i] = tx_bs[i]
-            packets_to_bs += 1
 
     for k in range(nearest.size):
         i = members[k]
@@ -104,13 +101,11 @@ def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, 
         else:
             charge[i] = electronics + bits * radio.eps_mp * (d2 * d2)
         member_count[c] += 1
-        packets_to_ch += 1
 
     for j in range(ch_ids.size):
         i = ch_ids[j]
         counts = np.float64(member_count[i])
         charge[i] = counts * electronics + bits * radio.e_da * (counts + 1.0) + tx_bs[i]
-        packets_to_bs += 1
 
     for i in range(n):
         if not alive[i]:
@@ -123,7 +118,7 @@ def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, 
         else:
             residual[i] = remaining
 
-    return charge, overdraft, packets_to_bs, packets_to_ch
+    return charge, overdraft
 
 
 LOOP_KERNELS = Backend("loop", _elect_loop, _assign_loop, _steady_loop)

@@ -26,6 +26,7 @@ from deecsim import (
     Protocol,
     ProtocolConfig,
     Simulation,
+    absolute_threshold,
     aggregation_energy,
     distance,
     run,
@@ -34,6 +35,7 @@ from deecsim import (
     tx_energy,
 )
 from deecsim._kernels import _EPOCH_LIMIT
+from deecsim.cli import load_spec
 from deecsim.metrics import SimResult
 
 DATA = Path(__file__).parent / "data"
@@ -234,10 +236,16 @@ class TestFormClusters:
     def test_no_heads_means_direct(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
         sim.alive[3] = False
-        _, members, nearest = sim.form_clusters(np.array([], dtype=np.int64))
+        clusters = sim.form_clusters(np.array([], dtype=np.int64))
+        _, members, nearest = clusters
         assert 3 not in members
         assert np.array_equal(members, np.flatnonzero(sim.alive))
         assert nearest.size == 0
+        # the round records every member as a packet to the BS, none to heads
+        sim.steady_state(clusters)
+        result = sim.result()
+        assert result.packets_bs.tolist() == [members.size] == [99]
+        assert result.packets_ch.tolist() == result.ch_count.tolist() == [0]
 
 
 class TestPairTables:
@@ -609,7 +617,7 @@ def steady_cases(draw):
         "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
         "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
     }
-    (charge, *_), _, _ = _steady(_steady_loop, case)
+    (charge, _), _, _ = _steady(_steady_loop, case)
     scale = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0]),
                                    min_size=n, max_size=n)))
     dead_residual = np.array(draw(st.lists(st.sampled_from([0.0, 0.25]),
@@ -636,7 +644,7 @@ class TestSteadyKernels:
                 warnings.simplefilter("error")
                 returned, residual, alive = _steady(_kernels._steady_numpy,
                                                     {**case, "hop": table})
-            assert len(returned) == len(expected) == 4
+            assert len(returned) == len(expected) == 2
             for got, want in zip(returned, expected):
                 assert np.array_equal(got, want)
             assert np.array_equal(residual, expected_residual)
@@ -728,7 +736,7 @@ class TestSteadyState:
         no_heads = np.array([], dtype=np.int64)
         residual = np.array([1.0, 0.25, 0.125, 0.0])
         alive = np.array([True, True, True, False])
-        charge, overdraft, to_bs, to_ch = kernels.steady(
+        charge, overdraft = kernels.steady(
             np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
             no_heads, np.array([0, 1, 2]), no_heads, LEACH,
         )
@@ -738,7 +746,6 @@ class TestSteadyState:
         assert residual.tolist() == [0.75, 0.0, 0.0, 0.0]
         assert alive.tolist() == [True, False, False, False]
         assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
-        assert (to_bs, to_ch) == (3, 0)
 
     def test_ledger_closes_every_round(self, config_sec3, kernels):
         # independent oracle: recompute all charges through the scalar model
@@ -841,6 +848,35 @@ class TestRun:
             assert np.array_equal(first.alive, other.alive)
             assert np.array_equal(first.residual_j, other.residual_j)
             assert np.array_equal(first.packets_bs, other.packets_bs)
+
+    @pytest.mark.parametrize("base, twin", [(Protocol.DEEC, Protocol.DDEEC),
+                                            (Protocol.EDEEC, Protocol.EDDEEC)],
+                             ids=["deec-ddeec", "edeec-eddeec"])
+    def test_twins_part_only_at_low_energy(self, base, twin):
+        # DDEEC is DEEC, and EDDEEC is EDEEC, plus the low-energy rule, which
+        # acts only at or below z*e0: every series agrees before the first
+        # round that starts with an alive node there, and the twins part by
+        # round 600 (at rounds 536/404/454 and 493/518/475)
+        spec = load_spec("paper-sec3")
+        for seed in spec.seeds[:3]:
+            config, twin_config = (dataclasses.replace(spec.network_config(kind, seed),
+                                                       max_rounds=600) for kind in (base, twin))
+            t_low = absolute_threshold(twin_config.protocol.z, twin_config.het.e0)
+            sim = Simulation(config)
+            first_low = None
+            while sim.round < 600 and sim.alive_count():
+                if first_low is None and (sim.residual[sim.alive] <= t_low).any():
+                    first_low = sim.round  # 383/396/397 for DEEC, 384/394/403 for EDEEC
+                sim.step()
+            a, b = sim.result(), run(twin_config)
+            series = [f.name for f in dataclasses.fields(SimResult)
+                      if isinstance(getattr(a, f.name), np.ndarray)]
+            assert first_low is not None and len(series) == 7
+            for name in series:
+                assert np.array_equal(getattr(a, name)[:first_low],
+                                      getattr(b, name)[:first_low]), (seed, name)
+            assert any(not np.array_equal(getattr(a, name), getattr(b, name))
+                       for name in series), seed
 
     def test_true_average_mode_runs(self, config_sec3):
         estimated = run(config_sec3(seed=3, max_rounds=400))

@@ -107,7 +107,7 @@ class TestDeduct:
         residual = np.array([residual])
         alive = np.array([True])
         no_heads = np.array([], dtype=np.int64)
-        charge, overdraft, *_ = get_backend().steady(
+        charge, overdraft = get_backend().steady(
             np.zeros(1), np.zeros(1), np.array([cost]), residual, alive,
             no_heads, np.array([0]), no_heads, LEACH,
         )
