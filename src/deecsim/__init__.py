@@ -17,10 +17,6 @@ from .model import (
     FieldGeometry,
     NodeClass,
     RadioParams,
-    aggregation_energy,
-    distance,
-    rx_energy,
-    tx_energy,
 )
 from .protocols import (
     AVG_ENERGY_FLOOR_J,
@@ -55,8 +51,6 @@ __all__ = [
     "SimResult",
     "Simulation",
     "absolute_threshold",
-    "aggregation_energy",
-    "distance",
     "emit_plot_svg",
     "emit_series_csv",
     "energy_per_round",
@@ -66,7 +60,5 @@ __all__ = [
     "make_energy_estimate",
     "optimal_cluster_count",
     "run",
-    "rx_energy",
     "summarize",
-    "tx_energy",
 ]

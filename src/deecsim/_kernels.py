@@ -10,12 +10,12 @@ the election probability with its low-energy rule and its clamp ``P_MAX``
 The engine runs them through the round kernels, and the paper's acceptance
 gates (C4, C5, C8, C9) test these same functions;
 ``protocols.election_constants`` supplies their per-run constants.
-``model.tx_energy``, ``rx_energy``, ``aggregation_energy`` and ``distance``
-write the scalar forms, which the tests use as the independent reference.
-Every kernel that applies the radio law (:func:`_transmit`,
+The package writes the radio law only here; the test suite writes its
+scalar form once, beside its loop reference kernels, as the independent
+reference.  Every kernel that applies the radio law (:func:`_transmit`,
 :func:`_head_charge`, :func:`_pair_tables` and the steady kernel) takes the
-run's ``RadioParams`` as one argument, as ``model.tx_energy`` does, and
-reads its fields by name, so this module imports nothing from the package.
+run's ``RadioParams`` as one argument and reads its fields by name, so
+this module imports nothing from the package.
 
 The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``

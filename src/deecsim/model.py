@@ -1,10 +1,12 @@
 """Physical model shared by every protocol: node classes, field geometry,
-and the first-order radio energy costs.
+and the constants of the first-order radio.
 
-Transmission costs ``bits * e_elec`` for the electronics plus an amplifier
-term that is quadratic in distance below the crossover ``d0`` (free-space)
-and quartic at or above it (multipath).  Reception and aggregation cost the
-electronics / aggregation constants only.
+Under that radio, transmission costs ``bits * e_elec`` for the electronics
+plus an amplifier term that is quadratic in distance below the crossover
+``d0`` (free-space) and quartic at or above it (multipath).  Reception and
+aggregation cost the electronics / aggregation constants only.  The engine
+charges every node through ``_kernels._transmit`` and
+``_kernels._head_charge``, which apply this law to ``RadioParams``.
 """
 
 from __future__ import annotations
@@ -98,46 +100,3 @@ class FieldGeometry:
         if not (len(bs) == 2 and all(map(_finite, bs))):
             raise ValueError("FieldGeometry.bs_position must be finite, as exactly two numbers")
         object.__setattr__(self, "bs_position", tuple(map(float, bs)))
-
-
-def distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Euclidean distance between two points, in meters."""
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def tx_energy(bits: int, d: float, radio: RadioParams) -> float:
-    """Energy in joules to transmit ``bits`` over ``d`` meters.
-
-    Uses the free-space amplifier below ``radio.d0`` and the multipath
-    amplifier at or above it.  The branch rule is exact: profiles whose
-    constants do not satisfy ``eps_fs * d0**2 == eps_mp * d0**4`` are
-    discontinuous at ``d0`` by design.
-    """
-    if bits <= 0:
-        raise ValueError("bits must be strictly positive")
-    if d < 0:
-        raise ValueError("distance must be non-negative")
-    if d < radio.d0:
-        return bits * radio.e_elec + bits * radio.eps_fs * (d * d)
-    return bits * radio.e_elec + bits * radio.eps_mp * ((d * d) * (d * d))
-
-
-def rx_energy(bits: int, radio: RadioParams) -> float:
-    """Energy in joules to receive ``bits``: the electronics term only."""
-    if bits <= 0:
-        raise ValueError("bits must be strictly positive")
-    return bits * radio.e_elec
-
-
-def aggregation_energy(bits: int, signals: int, radio: RadioParams) -> float:
-    """Energy in joules for a cluster head to fuse ``signals`` packets.
-
-    A cluster head always aggregates at least its own signal.
-    """
-    if bits <= 0:
-        raise ValueError("bits must be strictly positive")
-    if signals < 1:
-        raise ValueError("a cluster head aggregates at least its own signal")
-    return bits * radio.e_da * signals

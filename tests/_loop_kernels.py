@@ -1,6 +1,7 @@
-"""Reference round kernels: the numpy kernels' arithmetic, one node at a time.
+"""Reference round kernels: the numpy kernels' arithmetic, one node at a time,
+and the scalar first-order radio law they charge through.
 
-Each function takes the arguments of its counterpart in
+Each kernel takes the arguments of its counterpart in
 ``deecsim._kernels`` and returns the same values, evaluating the same
 floating-point expressions in the same order, so a run on ``LOOP_KERNELS``
 is bit-identical to a run on the default kernels.  The pair tables that
@@ -9,13 +10,105 @@ the loops recompute every distance and hop cost from the coordinates, so
 the parity tests hold the tables to the scalar law.  The tests use them as
 the oracle for the vectorized kernels; they are far too slow to run
 experiments with.
+
+The scalar law (:func:`distance`, :func:`tx_energy`, :func:`rx_energy`,
+:func:`aggregation_energy`) is the tests' independent reference for
+``_kernels._transmit`` and ``_kernels._head_charge``.  :func:`_charges`
+charges one round through it; the loop steady kernel, the ledger test and
+acceptance criterion C6 all call it, the last two by way of
+:func:`round_charges`.
 """
 
 import math
 
 import numpy as np
 
+from deecsim import RadioParams
 from deecsim._kernels import _EPOCH_LIMIT, P_MAX, Backend
+
+
+def distance(p: tuple[float, float], q: tuple[float, float]) -> float:
+    """Euclidean distance between two points, in meters."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def tx_energy(bits: int, d: float, radio: RadioParams) -> float:
+    """Energy in joules to transmit ``bits`` over ``d`` meters.
+
+    Uses the free-space amplifier below ``radio.d0`` and the multipath
+    amplifier at or above it.  The branch rule is exact: profiles whose
+    constants do not satisfy ``eps_fs * d0**2 == eps_mp * d0**4`` are
+    discontinuous at ``d0`` by design.
+    """
+    if bits <= 0:
+        raise ValueError("bits must be strictly positive")
+    if d < 0:
+        raise ValueError("distance must be non-negative")
+    if d < radio.d0:
+        return bits * radio.e_elec + bits * radio.eps_fs * (d * d)
+    return bits * radio.e_elec + bits * radio.eps_mp * ((d * d) * (d * d))
+
+
+def rx_energy(bits: int, radio: RadioParams) -> float:
+    """Energy in joules to receive ``bits``: the electronics term only."""
+    if bits <= 0:
+        raise ValueError("bits must be strictly positive")
+    return bits * radio.e_elec
+
+
+def aggregation_energy(bits: int, signals: int, radio: RadioParams) -> float:
+    """Energy in joules for a cluster head to fuse ``signals`` packets.
+
+    A cluster head always aggregates at least its own signal.
+    """
+    if bits <= 0:
+        raise ValueError("bits must be strictly positive")
+    if signals < 1:
+        raise ValueError("a cluster head aggregates at least its own signal")
+    return bits * radio.e_da * signals
+
+
+def _charges(x, y, bs_cost, ch_ids, members, nearest, radio):
+    """Every node's charge for one round, from the scalar law.
+
+    A member pays ``tx_energy`` over its hop to its head ``nearest``; a
+    head with ``k`` members pays ``k * rx_energy`` plus
+    ``aggregation_energy`` of ``k + 1`` signals plus its ``bs_cost``.  On
+    rounds without heads every member pays its own ``bs_cost``.
+    """
+    n = x.shape[0]
+    bits = radio.message_bits
+    charge = np.zeros(n, dtype=np.float64)
+    member_count = np.zeros(n, dtype=np.int64)
+
+    if ch_ids.size == 0:
+        for i in members:
+            charge[i] = bs_cost[i]
+
+    for i, c in zip(members, nearest):
+        charge[i] = tx_energy(bits, distance((x[i], y[i]), (x[c], y[c])), radio)
+        member_count[c] += 1
+
+    for i in ch_ids:
+        k = int(member_count[i])
+        charge[i] = (k * rx_energy(bits, radio)
+                     + aggregation_energy(bits, k + 1, radio) + bs_cost[i])
+    return charge
+
+
+def round_charges(sim, clusters):
+    """:func:`_charges` of a round that ``sim`` formed as ``clusters``.
+
+    Every base-station hop is recomputed from ``geometry.bs_position``,
+    not read from ``sim.tx_bs``.
+    """
+    radio = sim.config.radio
+    bs = sim.config.geometry.bs_position
+    bs_cost = np.array([tx_energy(radio.message_bits, distance(p, bs), radio)
+                        for p in zip(sim.x.tolist(), sim.y.tolist())])
+    return _charges(sim.x, sim.y, bs_cost, *clusters, radio)
 
 
 def _elect_loop(residual, alive, ineligible_until, u, rnd,
@@ -79,33 +172,8 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
 
 def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, hop=None):
     n = x.shape[0]
-    bits = radio.message_bits
-    charge = np.zeros(n, dtype=np.float64)
+    charge = _charges(x, y, tx_bs, ch_ids, members, nearest, radio)
     overdraft = np.zeros(n, dtype=np.float64)
-    member_count = np.zeros(n, dtype=np.int64)
-    electronics = bits * radio.e_elec
-
-    if ch_ids.size == 0:
-        for i in members:
-            charge[i] = tx_bs[i]
-
-    for k in range(nearest.size):
-        i = members[k]
-        c = nearest[k]
-        dx = x[i] - x[c]
-        dy = y[i] - y[c]
-        d = math.sqrt(dx * dx + dy * dy)
-        d2 = d * d
-        if d < radio.d0:
-            charge[i] = electronics + bits * radio.eps_fs * d2
-        else:
-            charge[i] = electronics + bits * radio.eps_mp * (d2 * d2)
-        member_count[c] += 1
-
-    for j in range(ch_ids.size):
-        i = ch_ids[j]
-        counts = np.float64(member_count[i])
-        charge[i] = counts * electronics + bits * radio.e_da * (counts + 1.0) + tx_bs[i]
 
     for i in range(n):
         if not alive[i]:

@@ -14,7 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from _golden import GOLDEN, digest, fast_runs
-from _loop_kernels import LOOP_KERNELS, _assign_loop, _elect_loop, _steady_loop
+from _loop_kernels import (
+    LOOP_KERNELS,
+    _assign_loop,
+    _elect_loop,
+    _steady_loop,
+    aggregation_energy,
+    distance,
+    round_charges,
+    rx_energy,
+    tx_energy,
+)
 
 from deecsim import _kernels, engine
 from deecsim import (
@@ -27,12 +37,8 @@ from deecsim import (
     ProtocolConfig,
     Simulation,
     absolute_threshold,
-    aggregation_energy,
-    distance,
     run,
-    rx_energy,
     summarize,
-    tx_energy,
 )
 from deecsim._kernels import _EPOCH_LIMIT
 from deecsim.cli import load_spec
@@ -674,32 +680,6 @@ class TestLoopFlavorParity:
 
 
 class TestSteadyState:
-    def _charges_oracle(self, sim, clusters):
-        """Recompute every node's round charge from the public scalar model."""
-        radio = sim.config.radio
-        bits = radio.message_bits
-        bs = sim.config.geometry.bs_position
-        ch_ids, members, nearest = (ids.tolist() for ids in clusters)
-        charges = np.zeros(sim.config.n)
-        counts = {}
-        for i, c in zip(members, nearest):
-            d = distance((sim.x[i], sim.y[i]), (sim.x[c], sim.y[c]))
-            charges[i] = tx_energy(bits, d, radio)
-            counts[c] = counts.get(c, 0) + 1
-        if not ch_ids:
-            for i in members:
-                d = distance((sim.x[i], sim.y[i]), bs)
-                charges[i] = tx_energy(bits, d, radio)
-        for i in ch_ids:
-            k = counts.get(i, 0)
-            d = distance((sim.x[i], sim.y[i]), bs)
-            charges[i] = (
-                k * rx_energy(bits, radio)
-                + aggregation_energy(bits, k + 1, radio)
-                + tx_energy(bits, d, radio)
-            )
-        return charges
-
     def test_lone_head_without_members(self, kernels):
         sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
         sim.alive[:] = [True, False, False]
@@ -748,7 +728,7 @@ class TestSteadyState:
         assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
 
     def test_ledger_closes_every_round(self, config_sec3, kernels):
-        # independent oracle: recompute all charges through the scalar model
+        # independent oracle: recompute all charges through the scalar law
         # and compare with the residual decrease plus recorded overdraft
         sim = Simulation(config_sec3(seed=5, c=0.1), backend=kernels)
         totals, drops = [], []
@@ -758,7 +738,7 @@ class TestSteadyState:
             before = sim.residual.copy()
             ch = sim.elect_cluster_heads()
             clusters = sim.form_clusters(ch)
-            totals.append(float(self._charges_oracle(sim, clusters).sum()))
+            totals.append(float(round_charges(sim, clusters).sum()))
             sim.steady_state(clusters)
             drops.append(float(before.sum() - sim.residual.sum()))
         result = sim.result()

@@ -1,18 +1,9 @@
 import math
 
-import numpy as np
 import pytest
+from _loop_kernels import aggregation_energy, distance, rx_energy, tx_energy
 
-from deecsim import (
-    RADIO_PROFILES,
-    FieldGeometry,
-    RadioParams,
-    aggregation_energy,
-    distance,
-    get_backend,
-    rx_energy,
-    tx_energy,
-)
+from deecsim import RADIO_PROFILES, FieldGeometry, RadioParams
 
 TABLE1 = RADIO_PROFILES["table1-verbatim"]
 LEACH = RADIO_PROFILES["leach-standard"]
@@ -96,39 +87,6 @@ class TestAggregationEnergy:
     def test_zero_bits_rejected(self):
         with pytest.raises(ValueError, match="bits must be strictly positive"):
             aggregation_energy(0, 1, TABLE1)
-
-
-class TestDeduct:
-    """The per-round charge rule, on the engine's steady kernel: one direct
-    node pays ``tx_bs`` from its residual and dies when the residual does
-    not exceed the charge, any shortfall being recorded as overdraft."""
-
-    def _charge(self, residual, cost):
-        residual = np.array([residual])
-        alive = np.array([True])
-        no_heads = np.array([], dtype=np.int64)
-        charge, overdraft = get_backend().steady(
-            np.zeros(1), np.zeros(1), np.array([cost]), residual, alive,
-            no_heads, np.array([0]), no_heads, LEACH,
-        )
-        assert charge[0] == cost
-        return residual[0], bool(alive[0]), overdraft[0]
-
-    def test_normal_charge(self):
-        residual, alive, overdraft = self._charge(0.5, 0.1)
-        assert residual == pytest.approx(0.4, rel=1e-12)
-        assert alive and overdraft == 0.0
-
-    def test_exact_depletion_kills(self):
-        residual, alive, overdraft = self._charge(0.05, 0.05)
-        assert residual == 0.0 and overdraft == 0.0
-        assert not alive
-
-    def test_overdraft_clamps(self):
-        residual, alive, overdraft = self._charge(0.01, 0.5)
-        assert residual == 0.0
-        assert not alive
-        assert overdraft == pytest.approx(0.49, rel=1e-12)
 
 
 class TestRadioParams:
