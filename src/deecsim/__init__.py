@@ -24,9 +24,7 @@ from .protocols import (
     HeterogeneityParams,
     Protocol,
     ProtocolConfig,
-    absolute_threshold,
     energy_per_round,
-    estimate_average_energy,
     expected_distances,
     make_energy_estimate,
     optimal_cluster_count,
@@ -50,11 +48,9 @@ __all__ = [
     "RadioParams",
     "SimResult",
     "Simulation",
-    "absolute_threshold",
     "emit_plot_svg",
     "emit_series_csv",
     "energy_per_round",
-    "estimate_average_energy",
     "expected_distances",
     "get_backend",
     "make_energy_estimate",

@@ -29,7 +29,8 @@ the advanced weight); EDEEC and EDDEEC are the protocols proper.  With
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -144,32 +145,28 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """A-priori energy budget of a network: total energy, per-round
-    dissipation, and the lifetime estimate ``r_lifetime = e_total/e_round``."""
+    """A-priori energy budget of ``n`` nodes: total energy and per-round
+    dissipation in joules, checked once, and the lifetime estimate
+    ``r_lifetime = e_total / e_round`` derived from them."""
 
     n: int
     e_total: float
     e_round: float
-    r_lifetime: float
+    r_lifetime: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.n, numbers.Integral) and self.n > 0):
+            raise ValueError("n must be a positive integer")
+        if not all(_finite(e) and e > 0 for e in (self.e_total, self.e_round)):
+            raise ValueError("e_total and e_round must be finite and strictly positive")
+        object.__setattr__(self, "r_lifetime", self.e_total / self.e_round)
 
     def avg_energy_at(self, r: int) -> float:
-        """Estimated per-node average residual energy at round ``r``."""
-        return estimate_average_energy(r, self.n, self.e_total, self.r_lifetime)
-
-
-def estimate_average_energy(r: int, n: int, e_total: float, r_lifetime: float) -> float:
-    """Linear per-node average-energy estimate ``(e_total/n)*(1 - r/R)``.
-
-    Floored at ``AVG_ENERGY_FLOOR_J`` once the estimate reaches zero.
-    """
-    if n <= 0:
-        raise ValueError("n must be strictly positive")
-    if r_lifetime <= 0:
-        raise ValueError("r_lifetime must be strictly positive")
-    if r < 0:
-        raise ValueError("round index must be non-negative")
-    estimate = (e_total / n) * (1.0 - r / r_lifetime)
-    return max(estimate, AVG_ENERGY_FLOOR_J)
+        """Linear per-node average-energy estimate ``(e_total/n)*(1 - r/R)``
+        at round ``r``, floored at ``AVG_ENERGY_FLOOR_J`` once it reaches zero."""
+        if r < 0:
+            raise ValueError("round index must be non-negative")
+        return max((self.e_total / self.n) * (1.0 - r / self.r_lifetime), AVG_ENERGY_FLOOR_J)
 
 
 def expected_distances(side_m: float, k: int) -> tuple[float, float]:
@@ -231,17 +228,7 @@ def make_energy_estimate(
     k = max(1, round(optimal_cluster_count(n, geometry.side_m, radio, d_to_bs)))
     e_total = het.total_energy(n)
     e_round = energy_per_round(n, k, geometry, radio)
-    return EnergyEstimate(n=n, e_total=e_total, e_round=e_round, r_lifetime=e_total / e_round)
-
-
-def absolute_threshold(z: float, e0: float) -> float:
-    """Residual-energy level ``z * e0`` below which EDDEEC equalizes the
-    election probability across classes.  ``z = 0`` disables the rule."""
-    if not 0.0 <= z < 1.0:
-        raise ValueError("z must lie in [0, 1)")
-    if e0 <= 0:
-        raise ValueError("e0 must be strictly positive")
-    return z * e0
+    return EnergyEstimate(n=n, e_total=e_total, e_round=e_round)
 
 
 def election_constants(
@@ -250,8 +237,8 @@ def election_constants(
     """Per-run constants of the election law in ``_kernels._probability``.
 
     Returns ``(pw_by_class, t_low, pw_low)``: ``p_opt * w`` for the normal,
-    advanced and super class, and the low-energy rule's threshold and
-    ``p_opt * w_low``.  A negative ``t_low`` disables the rule.
+    advanced and super class, and the low-energy rule's threshold ``z * e0``
+    and ``p_opt * w_low``.  A negative ``t_low`` disables the rule.
     """
     # the module table's rows: super nodes' bonus, low-energy weight or None
     bonus, w_low = {
@@ -263,4 +250,4 @@ def election_constants(
     pw_by_class = np.array([cfg.p_opt * w for w in (1.0, 1.0 + het.a, 1.0 + bonus)])
     if w_low is None:
         return pw_by_class, -1.0, 0.0
-    return pw_by_class, absolute_threshold(cfg.z, het.e0), cfg.p_opt * w_low
+    return pw_by_class, cfg.z * het.e0, cfg.p_opt * w_low

@@ -29,7 +29,6 @@ from deecsim import (
     Protocol,
     ProtocolConfig,
     Simulation,
-    absolute_threshold,
     expected_distances,
     run,
     summarize,
@@ -169,7 +168,7 @@ def test_criterion_5_sub_threshold_equality(spec):
     rng = np.random.default_rng(5)
     het = spec.template.het
     cfg = replace(spec.template.protocol, kind=Protocol.EDDEEC)
-    threshold = absolute_threshold(cfg.z, het.e0)
+    threshold = election_constants(cfg, het)[1]
     assert threshold == 0.35
     e, avg = np.zeros((1000, 1)), np.zeros((1000, 1))
     for i in range(1000):
@@ -235,10 +234,12 @@ def test_criterion_7_artifact_determinism(spec, tmp_path):
 
 
 def test_criterion_8_closed_forms():
+    het = load_spec("paper-sec3").template.het
+    eddeec = ProtocolConfig(kind=Protocol.EDDEEC)
     checks = {
-        "absolute threshold 0.7*0.5": absolute_threshold(0.7, 0.5) == 0.35,
+        "absolute threshold 0.7*0.5": election_constants(eddeec, het)[1] == 0.35,
         "expected BS distance": expected_distances(100.0, 1)[1] == 38.25,
-        "nominal total energy": load_spec("paper-sec3").template.het.total_energy(100) == 214.0,
+        "nominal total energy": het.total_energy(100) == 214.0,
         "saturated threshold": abs(_rotation(np.array([0.1]), 9)[1][0] - 1.0) <= 1e-12,
     }
     failed = [name for name, ok in checks.items() if not ok]

@@ -9,14 +9,13 @@ from deecsim import (
     AVG_ENERGY_FLOOR_J,
     P_MAX,
     RADIO_PROFILES,
+    EnergyEstimate,
     FieldGeometry,
     HeterogeneityParams,
     NodeClass,
     Protocol,
     ProtocolConfig,
-    absolute_threshold,
     energy_per_round,
-    estimate_average_energy,
     expected_distances,
     make_energy_estimate,
     optimal_cluster_count,
@@ -111,11 +110,17 @@ class TestProtocolConfig:
             ProtocolConfig(kind=Protocol.EDDEEC, **kwargs)
 
 
+# E_total = 214 J for the benchmark population; E_round = 0.0428 J gives
+# R = 5000 rounds exactly
+ESTIMATE = EnergyEstimate(100, 214.0, 0.0428)
+
+
 class TestEstimators:
     @pytest.mark.parametrize("call, error", [
-        (lambda: estimate_average_energy(0, 0, 214.0, 5000.0), "n must be"),
-        (lambda: estimate_average_energy(0, 100, 214.0, 0.0), "r_lifetime must be"),
-        (lambda: estimate_average_energy(-1, 100, 214.0, 5000.0), "round index"),
+        (lambda: EnergyEstimate(0, 214.0, 0.0428), "n must be"),
+        (lambda: EnergyEstimate(100, 214.0, 0.0), "e_total and e_round must be"),
+        (lambda: EnergyEstimate(100, math.inf, 0.0428), "e_total and e_round must be"),
+        (lambda: ESTIMATE.avg_energy_at(-1), "round index"),
         (lambda: expected_distances(0.0, 1), "side_m must be"),
         (lambda: expected_distances(100.0, 0), "k must be"),
         (lambda: energy_per_round(0, 5, FieldGeometry(100.0), TABLE1), "n must be"),
@@ -126,18 +131,22 @@ class TestEstimators:
         with pytest.raises(ValueError, match=error):
             call()
 
+    def test_lifetime_is_derived(self):
+        assert ESTIMATE.r_lifetime == 5000.0
+        with pytest.raises(TypeError):
+            EnergyEstimate(100, 214.0, 0.0428, r_lifetime=1.0)
+
     def test_average_energy_round_zero(self):
-        # E_total = 214 J for the benchmark population; at r=0 the estimate
-        # is the plain per-node share
-        assert estimate_average_energy(0, 100, 214.0, 5000.0) == 2.14
+        # at r=0 the estimate is the plain per-node share
+        assert ESTIMATE.avg_energy_at(0) == 2.14
 
     def test_average_energy_floors_at_lifetime(self):
-        assert estimate_average_energy(5000, 100, 214.0, 5000.0) == AVG_ENERGY_FLOOR_J
-        assert estimate_average_energy(9999, 100, 214.0, 5000.0) == AVG_ENERGY_FLOOR_J
+        assert ESTIMATE.avg_energy_at(5000) == AVG_ENERGY_FLOOR_J
+        assert ESTIMATE.avg_energy_at(9999) == AVG_ENERGY_FLOOR_J
 
     def test_average_energy_linear(self):
-        full = estimate_average_energy(0, 100, 214.0, 5000.0)
-        half = estimate_average_energy(2500, 100, 214.0, 5000.0)
+        full = ESTIMATE.avg_energy_at(0)
+        half = ESTIMATE.avg_energy_at(2500)
         assert half == pytest.approx(full / 2, rel=1e-12)
 
     def test_expected_distances_bs_exact(self):
@@ -223,23 +232,6 @@ def RadioParamsWith(bits=None, eps_fs=None, eps_mp=None):
         d0=LEACH.d0,
         message_bits=LEACH.message_bits if bits is None else bits,
     )
-
-
-class TestAbsoluteThreshold:
-    def test_benchmark_value_exact(self):
-        assert absolute_threshold(0.7, 0.5) == 0.35
-
-    def test_zero_disables(self):
-        assert absolute_threshold(0.0, 0.5) == 0.0
-
-    def test_half(self):
-        assert absolute_threshold(0.5, 1.0) == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            absolute_threshold(1.0, 0.5)
-        with pytest.raises(ValueError):
-            absolute_threshold(0.5, 0.0)
 
 
 class TestClassWeights:
