@@ -63,8 +63,8 @@ def _probability(e, pw, denom, t_low, pw_low):
     ``(1 + m*(a + m0*b)) * avg_energy``.  ``e`` and ``pw`` are arrays of one
     shape (or broadcast to one); the result is a new array.
     """
-    if t_low >= 0.0:
-        pw = np.where(e <= t_low, pw_low, pw)
+    if t_low >= 0.0 and np.count_nonzero(low := e <= t_low):
+        pw = np.where(low, pw_low, pw)
     p = pw * e
     p /= denom
     np.minimum(p, P_MAX, out=p)
@@ -148,9 +148,9 @@ def _nearest_dense(mx, my, hx, hy, ids):
 # Largest n whose runs get pair tables.  They hold 16 * n**2 bytes (4.2 MB
 # at 512) and take 0.2-1.5 ms to build at n = 100, 10 ms at n = 512 and
 # 30 ms at n = 700.  Measured on engine rounds (2-core x86-64, numpy 2.4),
-# assign + steady took 37 us a round with tables against 61 us without at
-# n = 100, 111 against 155 us at n = 512, and the tables still won at
-# n = 700; so the cutoff is set by memory and build time, not speed.
+# a round's assign, steady and record took 14 us with tables against 20 us
+# without at n = 100 and 63 against 104 us at n = 512, and tables won at
+# n = 700 on earlier kernels; so memory and build time set the cutoff.
 _PAIR_TABLE_MAX_NODES = 512
 
 
@@ -286,21 +286,24 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
     if ch_ids.size == 0 or members.size == 0:
         return members, ch_ids[:0]
     if d2 is not None:
-        return members, ch_ids[d2[ch_ids].T[members].argmin(axis=1)]
+        return members, ch_ids[d2.take(ch_ids, axis=0).T[members].argmin(axis=1)]
     return members, _nearest_tiled(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
 
 
-def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, hop=None):
+def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
+                  hop=None, head=None):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
     ``_assign_numpy``'s result, ``radio`` the run's ``RadioParams``.  Each
-    member transmits to its nearest head over the actual distance (read
-    from ``_pair_tables``' ``hop`` when it is given) and each head pays
-    ``_head_charge``; on rounds without heads each member uplinks directly
-    and pays ``tx_bs``.  Residuals are clamped at zero, the shortfall is
-    the overdraft, and a node dies at zero.  Dead nodes must carry no
-    charge, and stay dead.  Returns the per-node ``(charge, overdraft)``.
+    member transmits to its nearest head over the actual distance (read from
+    ``_pair_tables``' ``hop`` if given) and a head with ``k`` members pays
+    its ``tx_bs`` plus ``head[k]``, the table of ``_head_charge(k, 0.0,
+    radio)`` (built when absent); on rounds without heads each member
+    uplinks directly and pays ``tx_bs``.  Residuals are clamped at zero, the
+    shortfall is the overdraft, and a node dies at zero.  Dead nodes must
+    carry no charge, and stay dead.  Returns ``(charge, overdraft)`` per
+    node, the overdraft ``None`` (all zeros) if none dies.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -310,13 +313,20 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
         else:
             d = _squared_distances(x[members], y[members], x[nearest], y[nearest])
             charge[members] = _transmit(np.sqrt(d, out=d), radio)
-        counts = np.bincount(nearest, minlength=n)[ch_ids]
-        charge[ch_ids] = _head_charge(counts, tx_bs[ch_ids], radio)
+        head = _head_charge(np.arange(n), 0.0, radio) if head is None else head
+        # head[k] + tx_bs is _head_charge(k, tx_bs) bit for bit: its last step adds tx_bs
+        charge[ch_ids] = head[np.bincount(nearest, minlength=n)[ch_ids]] + tx_bs[ch_ids]
     else:
         charge[members] = tx_bs[members]
-    overdraft = np.maximum(charge - residual, 0.0)
-    np.maximum(residual - charge, 0.0, out=residual)
-    alive &= residual > 0.0
+    residual -= charge
+    dying = residual <= 0.0
+    dying &= alive  # dead nodes, charged nothing, may sit at zero
+    if not np.count_nonzero(dying):
+        return charge, None
+    # 0.0 - (residual - charge) is charge - residual bit for bit, +0.0 included
+    overdraft = np.maximum(np.subtract(0.0, residual), 0.0)
+    np.maximum(residual, 0.0, out=residual)
+    alive ^= dying
     return charge, overdraft
 
 
@@ -324,10 +334,11 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
 class Backend:
     """The three round kernels ``Simulation`` calls, under a reported name.
 
-    ``steady`` returns the per-node ``(charge, overdraft)``.  ``assign``
-    takes the run's ``d2`` pair table as its last argument and ``steady``
-    its ``hop`` table, each ``None`` above ``_PAIR_TABLE_MAX_NODES``; a
-    kernel set may ignore them, as they hold only what the coordinates give.
+    ``steady`` returns the per-node ``(charge, overdraft)``; the overdraft
+    may be ``None``, meaning all zeros.  ``assign`` takes the run's ``d2``
+    pair table last and ``steady`` its ``hop`` (``None`` above
+    ``_PAIR_TABLE_MAX_NODES``) and ``head`` tables; a kernel set may ignore
+    them, as they hold only what the coordinates and the radio give.
     """
 
     name: str

@@ -5,7 +5,10 @@ A run is strictly deterministic: node placement, class assignment and all
 election draws come from one ``numpy`` PCG64 stream seeded from the config.
 Each round consumes exactly ``n`` uniforms, one per node id in ascending
 order (draws of dead or ineligible nodes are discarded), so the stream
-position is independent of simulation state.
+position is independent of simulation state.  They are drawn ahead in
+chunks ``rng.random((k, n))``, the same bits as ``k`` draws of ``n``, with
+``k`` capped by ``_DRAW_CHUNK_BYTES`` and by the rounds left to the round cap
+(one row past it); each election takes the next row, whatever the round.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import Backend, _pair_tables, _squared_distances, _transmit, get_backend
+from ._kernels import (Backend, _head_charge, _pair_tables, _squared_distances, _transmit,
+                       get_backend)
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
@@ -25,6 +29,8 @@ from .protocols import (
     HeterogeneityParams,
     ProtocolConfig,
 )
+
+_DRAW_CHUNK_BYTES = 64 * 1024  # uniforms drawn ahead: 81 rounds at n = 100, 1 above n = 4096
 
 
 @dataclass(frozen=True)
@@ -114,6 +120,8 @@ class Simulation:
         self._energy_factor = config.het.total_energy_factor
         self.tx_bs = _transmit(self.dist_to_bs, config.radio)
         self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, config.radio)
+        self._head_table = _head_charge(np.arange(n), 0.0, config.radio)
+        self._uniforms, self._drawn = iter(()), 0  # the last chunk's rows; rows drawn
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)
         # and (residual, charged, overdraft) in joules
@@ -134,7 +142,13 @@ class Simulation:
 
     def elect_cluster_heads(self) -> np.ndarray:
         """Run the election draws for the current round; returns head ids."""
-        u = self.rng.random(self.config.n)
+        u = next(self._uniforms, None)
+        if u is None:
+            n = self.config.n
+            rows = max(1, min(_DRAW_CHUNK_BYTES // (8 * n), self.config.max_rounds - self._drawn))
+            self._uniforms = iter(self.rng.random((rows, n)))
+            self._drawn += rows
+            u = next(self._uniforms)
         denom = self._energy_factor * self.average_energy()
         return self.kernels.elect(
             self.residual,
@@ -160,15 +174,17 @@ class Simulation:
         deaths, record the round's row and advance the round.  Packets come
         from the clusters: to the BS one per head (per member if none), to
         heads one per ``nearest`` entry.  Only nodes that die overdraw, so
-        the overdraft is 0.0 on rounds without a death."""
+        the overdraft is +0.0 on rounds without a death."""
         ch_ids, members, nearest = clusters
         charge, overdraft = self.kernels.steady(
             self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
-            self.config.radio, self.pair_hop,
+            self.config.radio, self.pair_hop, self._head_table,
         )
         to_bs = ch_ids.size or members.size
         self._counts.append((self.alive_count(), to_bs, nearest.size, ch_ids.size))
-        self._energy.append((self.residual.sum(), charge.sum(), overdraft.sum()))
+        add = np.add.reduce  # ndarray.sum's pairwise sum, without its wrapper
+        self._energy.append((add(self.residual), add(charge),
+                             0.0 if overdraft is None else add(overdraft)))
         self.round += 1
 
     def step(self) -> None:
@@ -200,6 +216,8 @@ class Simulation:
 def run(config: NetworkConfig, backend: Backend | None = None) -> SimResult:
     """Simulate until every node is dead or the round cap is reached."""
     sim = Simulation(config, backend)
-    while sim.round < config.max_rounds and sim.alive_count():
+    alive = config.n
+    while alive and sim.round < config.max_rounds:
         sim.step()
+        alive = sim._counts[-1][0]  # the count steady_state recorded
     return sim.result()

@@ -4,10 +4,13 @@ and the scalar first-order radio law they charge through.
 Each kernel takes the arguments of its counterpart in
 ``deecsim._kernels`` and returns the same values, evaluating the same
 floating-point expressions in the same order, so a run on ``LOOP_KERNELS``
-is bit-identical to a run on the default kernels.  The pair tables that
-``_assign_numpy`` and ``_steady_numpy`` read are accepted and ignored:
-the loops recompute every distance and hop cost from the coordinates, so
-the parity tests hold the tables to the scalar law.  The tests use them as
+is bit-identical to a run on the default kernels.  The tables that
+``_assign_numpy`` and ``_steady_numpy`` read (pair distances, hop costs
+and head charges) are accepted and ignored: the loops recompute every
+distance and charge from the coordinates and the radio, so the parity
+tests hold the tables to the scalar law.  The loop steady kernel always
+returns its overdraft array, all zeros on a round without a death, where
+``_steady_numpy`` may return ``None``.  The tests use them as
 the oracle for the vectorized kernels; they are far too slow to run
 experiments with.
 
@@ -170,7 +173,8 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
     return members[:k], nearest[:k if ch_ids.size else 0]
 
 
-def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio, hop=None):
+def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
+                 hop=None, head=None):
     n = x.shape[0]
     charge = _charges(x, y, tx_bs, ch_ids, members, nearest, radio)
     overdraft = np.zeros(n, dtype=np.float64)

@@ -215,6 +215,84 @@ class TestElection:
         assert (sim.ineligible_until[ch] > 0).all()
 
 
+class _ShapeRecordingRng:
+    """Stands in for a run's generator and records the shape of each draw."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def random(self, shape):
+        self.shapes.append(shape)
+        return self.rng.random(shape)
+
+
+def _record_uniforms(sim):
+    """The list that each of ``sim``'s elections appends its uniforms to."""
+    drawn = []
+    elect = sim.kernels.elect
+
+    def recording_elect(residual, alive, ineligible_until, u, *rest):
+        drawn.append(u.copy())
+        return elect(residual, alive, ineligible_until, u, *rest)
+
+    sim.kernels = dataclasses.replace(sim.kernels, elect=recording_elect)
+    return drawn
+
+
+class TestDrawBuffer:
+    """Elections take their uniforms from chunks drawn ahead, which are the
+    stream of one ``random(n)`` per election, bit for bit."""
+
+    def test_rounds_draw_the_stream_across_a_chunk_boundary(self, config_sec3):
+        config = config_sec3(seed=7, max_rounds=200)
+        n = config.n
+        rows = engine._DRAW_CHUNK_BYTES // (8 * n)
+        sim = Simulation(config)
+        drawn = _record_uniforms(sim)
+        for _ in range(rows + 5):
+            sim.step()
+        assert len(drawn) == rows + 5
+        # the build draws the positions and then shuffles the classes, whose
+        # draws depend on n only; every election then draws n uniforms
+        stream = np.random.default_rng(config.seed)
+        positions = stream.random((n, 2)) * config.geometry.side_m
+        assert np.array_equal(positions[:, 0], sim.x) and np.array_equal(positions[:, 1], sim.y)
+        stream.shuffle(np.empty(n, dtype=np.int8))
+        for u in drawn:
+            assert np.array_equal(u, stream.random(n))
+
+    def test_draw_follows_elections_not_the_round_counter(self, config_sec3):
+        # a test may set the round by hand; each election still takes the
+        # stream's next n uniforms
+        config = config_sec3(seed=7)
+        stepped = Simulation(config)
+        expected = _record_uniforms(stepped)
+        for _ in range(3):
+            stepped.step()
+        sim = Simulation(config)
+        drawn = _record_uniforms(sim)
+        for rnd in (5, 1, 500):
+            sim.round = rnd
+            sim.elect_cluster_heads()
+        assert len(drawn) == len(expected) == 3
+        for u, want in zip(drawn, expected):
+            assert np.array_equal(u, want)
+
+    @pytest.mark.parametrize("n, max_rounds, elections, shapes", [
+        (100, 200, 82, [(81, 100), (81, 100)]),
+        (100, 90, 90, [(81, 100), (9, 100)]),  # no row past the round cap
+        (5000, 12, 2, [(1, 5000), (1, 5000)]),  # two rows would pass the byte cap
+    ])
+    def test_chunks_stay_within_the_byte_cap(self, config_sec3, n, max_rounds, elections,
+                                             shapes):
+        sim = Simulation(dataclasses.replace(config_sec3(max_rounds=max_rounds), n=n))
+        sim.rng = _ShapeRecordingRng(sim.rng)
+        for _ in range(elections):
+            sim.elect_cluster_heads()
+        assert sim.rng.shapes == shapes
+        assert all(rows * cols * 8 <= engine._DRAW_CHUNK_BYTES for rows, cols in shapes)
+
+
 class TestFormClusters:
     def test_single_head_takes_all(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
@@ -596,7 +674,8 @@ def steady_cases(draw):
     heads, direct nodes on rounds without heads and dead nodes, with each
     alive node's residual set below, at, just above or well above its
     charge, so that deaths, overdraft and exactly-zero remainders occur,
-    and each dead node's residual at zero or above it.
+    and each dead node's residual at zero or above it.  In some rounds every
+    alive node's residual is above its charge, so that no node dies.
     Positions may sit on a coarse lattice, where nodes share positions and
     members sit on their heads.  The radio is either shipped profile."""
     n = draw(st.integers(1, 40))
@@ -624,8 +703,8 @@ def steady_cases(draw):
         "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
     }
     (charge, _), _, _ = _steady(_steady_loop, case)
-    scale = np.array(draw(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2**-52, 3.0]),
-                                   min_size=n, max_size=n)))
+    scales = [1.0 + 2**-52, 3.0] if draw(st.booleans()) else [0.5, 1.0, 1.0 + 2**-52, 3.0]
+    scale = np.array(draw(st.lists(st.sampled_from(scales), min_size=n, max_size=n)))
     dead_residual = np.array(draw(st.lists(st.sampled_from([0.0, 0.25]),
                                            min_size=n, max_size=n)))
     case["residual"] = np.where(case["alive"], charge * scale, dead_residual)
@@ -642,17 +721,22 @@ class TestSteadyKernels:
     @given(case=steady_cases())
     @settings(max_examples=300, deadline=None)
     def test_numpy_equals_loop(self, case):
-        expected, expected_residual, expected_alive = _steady(_steady_loop, case)
-        # charged from the coordinates and from the hop table alike
+        (charge, overdraft), expected_residual, expected_alive = _steady(_steady_loop, case)
+        died = (case["alive"] & ~expected_alive).any()
+        # charged from the coordinates and from the hop table alike, and with
+        # the head table given or built
         _, hop = _kernels._pair_tables(case["x"], case["y"], case["radio"])
-        for table in (None, hop):
+        head = _kernels._head_charge(np.arange(case["x"].size), 0.0, case["radio"])
+        for tables in ({"hop": None}, {"hop": hop, "head": head}):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                returned, residual, alive = _steady(_kernels._steady_numpy,
-                                                    {**case, "hop": table})
-            assert len(returned) == len(expected) == 2
-            for got, want in zip(returned, expected):
-                assert np.array_equal(got, want)
+                returned, residual, alive = _steady(_kernels._steady_numpy, {**case, **tables})
+            assert len(returned) == 2
+            assert np.array_equal(returned[0], charge)
+            # no overdraft array exactly on rounds without a death, where it is all zeros
+            assert (returned[1] is None) == (not died)
+            got = np.zeros(case["x"].size) if returned[1] is None else returned[1]
+            assert np.array_equal(got, overdraft) and not np.signbit(got).any()
             assert np.array_equal(residual, expected_residual)
             assert np.array_equal(alive, expected_alive)
 
@@ -726,6 +810,17 @@ class TestSteadyState:
         assert residual.tolist() == [0.75, 0.0, 0.0, 0.0]
         assert alive.tolist() == [True, False, False, False]
         assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
+
+    def test_round_without_a_death_records_positive_zero(self, config_sec3, kernels):
+        # dead nodes at zero, and no alive node dies: the overdraft is +0.0
+        sim = Simulation(config_sec3(), backend=kernels)
+        sim.alive[:3] = False
+        sim.residual[:3] = 0.0
+        sim.step()
+        result = sim.result()
+        assert result.alive.tolist() == [97]
+        assert result.overdraft_j.tolist() == [0.0]
+        assert math.copysign(1.0, result.overdraft_j[0]) == 1.0
 
     def test_ledger_closes_every_round(self, config_sec3):
         # independent oracle: recompute all charges through the scalar law
