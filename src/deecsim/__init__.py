@@ -24,10 +24,8 @@ from .protocols import (
     HeterogeneityParams,
     Protocol,
     ProtocolConfig,
-    energy_per_round,
     expected_distances,
     make_energy_estimate,
-    optimal_cluster_count,
 )
 
 __version__ = "0.1.0"
@@ -50,11 +48,9 @@ __all__ = [
     "Simulation",
     "emit_plot_svg",
     "emit_series_csv",
-    "energy_per_round",
     "expected_distances",
     "get_backend",
     "make_energy_estimate",
-    "optimal_cluster_count",
     "run",
     "summarize",
 ]

@@ -265,7 +265,7 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     return out
 
 
-def _assign_numpy(x, y, alive, ch_ids, d2=None):
+def _assign_numpy(x, y, alive, ch_ids, d2):
     """Nearest-head cluster assignment, ties to the lower head id.
 
     Returns ``(members, nearest)``: the ascending ids of the alive nodes
@@ -291,19 +291,19 @@ def _assign_numpy(x, y, alive, ch_ids, d2=None):
 
 
 def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
-                  hop=None, head=None):
+                  hop, head):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
     ``_assign_numpy``'s result, ``radio`` the run's ``RadioParams``.  Each
     member transmits to its nearest head over the actual distance (read from
-    ``_pair_tables``' ``hop`` if given) and a head with ``k`` members pays
-    its ``tx_bs`` plus ``head[k]``, the table of ``_head_charge(k, 0.0,
-    radio)`` (built when absent); on rounds without heads each member
-    uplinks directly and pays ``tx_bs``.  Residuals are clamped at zero, the
-    shortfall is the overdraft, and a node dies at zero.  Dead nodes must
-    carry no charge, and stay dead.  Returns ``(charge, overdraft)`` per
-    node, the overdraft ``None`` (all zeros) if none dies.
+    ``_pair_tables``' ``hop`` unless it is ``None``) and a head with ``k``
+    members pays its ``tx_bs`` plus ``head[k]``, the run's table of
+    ``_head_charge(k, 0.0, radio)`` for ``k < n``; on rounds without heads
+    each member uplinks directly and pays ``tx_bs``.  Residuals are clamped
+    at zero, the shortfall is the overdraft, and a node dies at zero.  Dead
+    nodes must carry no charge, and stay dead.  Returns ``(charge,
+    overdraft)`` per node, the overdraft ``None`` (all zeros) if none dies.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -313,7 +313,6 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
         else:
             d = _squared_distances(x[members], y[members], x[nearest], y[nearest])
             charge[members] = _transmit(np.sqrt(d, out=d), radio)
-        head = _head_charge(np.arange(n), 0.0, radio) if head is None else head
         # head[k] + tx_bs is _head_charge(k, tx_bs) bit for bit: its last step adds tx_bs
         charge[ch_ids] = head[np.bincount(nearest, minlength=n)[ch_ids]] + tx_bs[ch_ids]
     else:
@@ -335,10 +334,10 @@ class Backend:
     """The three round kernels ``Simulation`` calls, under a reported name.
 
     ``steady`` returns the per-node ``(charge, overdraft)``; the overdraft
-    may be ``None``, meaning all zeros.  ``assign`` takes the run's ``d2``
-    pair table last and ``steady`` its ``hop`` (``None`` above
-    ``_PAIR_TABLE_MAX_NODES``) and ``head`` tables; a kernel set may ignore
-    them, as they hold only what the coordinates and the radio give.
+    may be ``None``, meaning all zeros.  Every call gets the run's tables
+    last, ``d2`` to ``assign`` and ``hop`` and ``head`` to ``steady``, with
+    the pair tables ``None`` above ``_PAIR_TABLE_MAX_NODES``; a kernel set
+    may ignore them, as they hold only what the coordinates and radio give.
     """
 
     name: str

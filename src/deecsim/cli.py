@@ -241,11 +241,12 @@ def load_spec(path: str | Path, flags: dict[str, str] | None = None) -> Experime
     run is derived from.
     """
     path = resolve_spec_path(str(path))
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names "\n", so a [DEFAULT] section meets the unknown-section check
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, encoding="utf-8") as f:
             parser.read_file(f, source=str(path))
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise SpecError(f"{path}: {exc}") from exc
     flag_of = {}
     for flag, value in (flags or {}).items():

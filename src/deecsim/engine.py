@@ -104,9 +104,6 @@ class Simulation:
         self.alive = np.ones(n, dtype=np.bool_)
         self.ineligible_until = np.zeros(n, dtype=np.int64)
 
-        bx, by = config.geometry.bs_position
-        self.dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
-
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
             n, config.geometry, config.radio, config.het
         )
@@ -118,7 +115,9 @@ class Simulation:
         )
         self._pw = pw_by_class[node_class]
         self._energy_factor = config.het.total_energy_factor
-        self.tx_bs = _transmit(self.dist_to_bs, config.radio)
+        bx, by = config.geometry.bs_position
+        dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
+        self.tx_bs = _transmit(dist_to_bs, config.radio)
         self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, config.radio)
         self._head_table = _head_charge(np.arange(n), 0.0, config.radio)
         self._uniforms, self._drawn = iter(()), 0  # the last chunk's rows; rows drawn

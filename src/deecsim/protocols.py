@@ -1,8 +1,8 @@
 """DEEC-family protocol parameters and a-priori network estimates.
 
 Covers the heterogeneous population, the per-protocol election constants
-(:func:`election_constants`), and the a-priori lifetime estimators (total
-energy, per-round dissipation, expected distances, optimal cluster count).
+(:func:`election_constants`), and the a-priori lifetime estimate
+(:func:`make_energy_estimate`, over :func:`expected_distances`).
 
 The four protocols share one election law: an alive node's probability is
 ``p_opt * w * E / ((1 + m*(a + m0*b)) * avg_energy)``, clamped to
@@ -184,51 +184,27 @@ def expected_distances(side_m: float, k: int) -> tuple[float, float]:
     return d_to_ch, d_to_bs
 
 
-def energy_per_round(n: int, k: int, geometry: FieldGeometry, radio: RadioParams) -> float:
-    """Estimated network-wide energy dissipated in one round, in joules.
-
-    ``L * (2*n*E_elec + n*E_da + k*eps_mp*d_bs^4 + n*eps_fs*d_ch^2)`` with
-    the expected distances for ``k`` clusters.
-    """
-    if n <= 0:
-        raise ValueError("n must be strictly positive")
+def make_energy_estimate(
+    n: int, geometry: FieldGeometry, radio: RadioParams, het: HeterogeneityParams
+) -> EnergyEstimate:
+    """The a-priori estimate for ``n`` nodes: total energy, and one round's
+    first-order dissipation ``L*(2n*E_elec + n*E_da + k*eps_mp*d_bs^4 +
+    n*eps_fs*d_ch^2)`` at ``expected_distances(M, k)`` for the optimal
+    cluster count ``k = max(1, round(sqrt(n)/sqrt(2*pi) * sqrt(eps_fs/eps_mp)
+    * M/d_bs^2))``.  Raises ``ValueError`` for ``n < 1``; R is derived by
+    ``EnergyEstimate``."""
+    _, d_to_bs = expected_distances(geometry.side_m, 1)
+    k = max(1, round((math.sqrt(n) / math.sqrt(2.0 * math.pi))
+                     * math.sqrt(radio.eps_fs / radio.eps_mp)
+                     * (geometry.side_m / (d_to_bs * d_to_bs))))
     d_to_ch, d_to_bs = expected_distances(geometry.side_m, k)
-    bits = radio.message_bits
-    return bits * (
+    e_round = radio.message_bits * (
         2.0 * n * radio.e_elec
         + n * radio.e_da
         + k * radio.eps_mp * d_to_bs**4
         + n * radio.eps_fs * d_to_ch**2
     )
-
-
-def optimal_cluster_count(n: int, side_m: float, radio: RadioParams, d_to_bs: float) -> float:
-    """Cluster count minimizing per-round dissipation, as a real diagnostic.
-
-    ``sqrt(n)/sqrt(2*pi) * sqrt(eps_fs/eps_mp) * M/d_to_bs^2``.  Callers
-    needing an integer cluster count round it themselves.
-    """
-    if n <= 0:
-        raise ValueError("n must be strictly positive")
-    if d_to_bs <= 0:
-        raise ValueError("d_to_bs must be strictly positive")
-    return (
-        (math.sqrt(n) / math.sqrt(2.0 * math.pi))
-        * math.sqrt(radio.eps_fs / radio.eps_mp)
-        * (side_m / (d_to_bs * d_to_bs))
-    )
-
-
-def make_energy_estimate(
-    n: int, geometry: FieldGeometry, radio: RadioParams, het: HeterogeneityParams
-) -> EnergyEstimate:
-    """Build the a-priori estimate for a network, using the optimal cluster
-    count (rounded, at least 1) in the per-round dissipation."""
-    _, d_to_bs = expected_distances(geometry.side_m, 1)
-    k = max(1, round(optimal_cluster_count(n, geometry.side_m, radio, d_to_bs)))
-    e_total = het.total_energy(n)
-    e_round = energy_per_round(n, k, geometry, radio)
-    return EnergyEstimate(n=n, e_total=e_total, e_round=e_round)
+    return EnergyEstimate(n=n, e_total=het.total_energy(n), e_round=e_round)
 
 
 def election_constants(

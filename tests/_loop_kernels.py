@@ -146,7 +146,7 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd,
     return heads[:k]
 
 
-def _assign_loop(x, y, alive, ch_ids, d2=None):
+def _assign_loop(x, y, alive, ch_ids, d2):
     n = x.shape[0]
     is_head = np.zeros(n, dtype=np.bool_)
     for j in range(ch_ids.size):
@@ -164,9 +164,9 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
             c = ch_ids[j]
             dx = x[i] - x[c]
             dy = y[i] - y[c]
-            d2 = dx * dx + dy * dy
-            if d2 < best_d2:
-                best_d2 = d2
+            dist2 = dx * dx + dy * dy
+            if dist2 < best_d2:
+                best_d2 = dist2
                 best = c
         nearest[k] = best
         k += 1
@@ -174,7 +174,7 @@ def _assign_loop(x, y, alive, ch_ids, d2=None):
 
 
 def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
-                 hop=None, head=None):
+                 hop, head):
     n = x.shape[0]
     charge = _charges(x, y, tx_bs, ch_ids, members, nearest, radio)
     overdraft = np.zeros(n, dtype=np.float64)

@@ -90,6 +90,13 @@ class TestLoadSpec:
         assert spec.protocols == (Protocol.DEEC, Protocol.DDEEC, Protocol.EDEEC, Protocol.EDDEEC)
         assert len(spec.seeds) == 20
 
+    def test_preset_file_name_resolves_to_bundled(self, tmp_path, monkeypatch):
+        # no paper-sec3.cfg in the working directory: the name, less .cfg, is a preset
+        monkeypatch.chdir(tmp_path)
+        spec = load_spec("paper-sec3.cfg")
+        assert spec == load_spec("paper-sec3")
+        assert spec.n == 100 and len(spec.seeds) == 20
+
     def test_defaults_are_table1_verbatim(self, tmp_path):
         path = tmp_path / "bare.cfg"
         path.write_text("[experiment]\nbase_seed = 1\nseed_count = 1\n")
@@ -460,6 +467,24 @@ class TestMain:
         assert main(["run", str(path)]) == EXIT_VALIDATION
         assert error in capsys.readouterr().err
         assert not out.exists()
+
+    def test_spec_not_utf8_exits_validation(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\n" + TINY_SPEC.encode())
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "can't decode" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", [
+        "[DEFAULT]\nseeds = 1\n[experiment]\n",
+        "[DEFAULT]\nnodes = 10\n[experiment]\nseeds = 1\n",
+    ], ids=["seeds", "nodes"])
+    def test_default_section_rejected(self, tmp_path, capsys, spec):
+        path = tmp_path / "default.cfg"
+        path.write_text(spec)
+        assert main(["run", str(path)]) == EXIT_VALIDATION
+        assert "unknown section [DEFAULT]" in capsys.readouterr().err
 
     def test_seed_count_override_prefix(self, tmp_path):
         out2, out3 = tmp_path / "r2", tmp_path / "r3"

@@ -104,7 +104,6 @@ class TestInitialize:
         sim = Simulation(dataclasses.replace(config, n=n, geometry=FieldGeometry(100.0, bs)))
         radio, position = config.radio, sim.config.geometry.bs_position
         d = [distance((x, y), position) for x, y in zip(sim.x.tolist(), sim.y.tolist())]
-        assert sim.dist_to_bs.tolist() == d
         assert sim.tx_bs.tolist() == [tx_energy(radio.message_bits, di, radio) for di in d]
         if bs is not None:  # the corner: both branches of the law
             assert min(d) < radio.d0 <= max(d)
@@ -385,7 +384,7 @@ def _pairs(alive, ch_ids):
 
 def _assert_matches_brute_force(x, y, alive, ch_ids):
     # the loop reference visits every head in id order
-    expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids)
+    expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids, None)
     # with the pair table too; it needs neither the dense nor the tiled search
     d2 = _kernels._squared_distances(x[:, None], y[:, None], x, y)
     for table in (None, d2):
@@ -480,7 +479,7 @@ class TestAssignExactness:
         alive = np.ones(x.size, dtype=bool)
         ch_ids = np.arange(32, dtype=np.int64)
         with _always_tiled:
-            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
             _assert_matches_brute_force(x, y, alive, ch_ids)
         assert members[0] == 32 and nearest[0] == 0
 
@@ -507,7 +506,7 @@ class TestAssignExactness:
         with (mock.patch.object(_kernels, "_nearest_dense", side_effect=searched),
               mock.patch.object(_kernels, "_nearest_tiled", side_effect=searched)):
             members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, d2)
-        expected_members, expected_nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+        expected_members, expected_nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
         assert np.array_equal(members, expected_members)
         assert np.array_equal(nearest, expected_nearest)
 
@@ -520,7 +519,7 @@ class TestAssignExactness:
         # 32 or more heads give the tiled search at least 2 x 2 tiles
         x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
         with _always_tiled if tiled else contextlib.nullcontext():
-            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids)
+            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
         assert members.dtype == nearest.dtype == np.int64
         assert np.intersect1d(members, ch_ids).size == 0
         assert np.array_equal(np.union1d(members, ch_ids), np.flatnonzero(alive))
@@ -701,6 +700,7 @@ def steady_cases(draw):
         "residual": np.zeros(n), "alive": np.array([role != "dead" for role in roles]),
         "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
         "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
+        "hop": None, "head": _kernels._head_charge(np.arange(n), 0.0, radio),
     }
     (charge, _), _, _ = _steady(_steady_loop, case)
     scales = [1.0 + 2**-52, 3.0] if draw(st.booleans()) else [0.5, 1.0, 1.0 + 2**-52, 3.0]
@@ -723,14 +723,12 @@ class TestSteadyKernels:
     def test_numpy_equals_loop(self, case):
         (charge, overdraft), expected_residual, expected_alive = _steady(_steady_loop, case)
         died = (case["alive"] & ~expected_alive).any()
-        # charged from the coordinates and from the hop table alike, and with
-        # the head table given or built
+        # charged from the coordinates and from the hop table alike
         _, hop = _kernels._pair_tables(case["x"], case["y"], case["radio"])
-        head = _kernels._head_charge(np.arange(case["x"].size), 0.0, case["radio"])
-        for tables in ({"hop": None}, {"hop": hop, "head": head}):
+        for table in (None, hop):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                returned, residual, alive = _steady(_kernels._steady_numpy, {**case, **tables})
+                returned, residual, alive = _steady(_kernels._steady_numpy, {**case, "hop": table})
             assert len(returned) == 2
             assert np.array_equal(returned[0], charge)
             # no overdraft array exactly on rounds without a death, where it is all zeros
@@ -802,8 +800,8 @@ class TestSteadyState:
         alive = np.array([True, True, True, False])
         charge, overdraft = kernels.steady(
             np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
-            no_heads, np.array([0, 1, 2]), no_heads, LEACH,
-        )
+            no_heads, np.array([0, 1, 2]), no_heads, LEACH, None, None,
+        )  # a round without heads reads neither table
         assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
         # residual > charge: alive with the difference; residual == charge:
         # dead, no overdraft; residual < charge: dead, overdraft = shortfall

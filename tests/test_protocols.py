@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,10 +16,8 @@ from deecsim import (
     NodeClass,
     Protocol,
     ProtocolConfig,
-    energy_per_round,
     expected_distances,
     make_energy_estimate,
-    optimal_cluster_count,
 )
 from deecsim._kernels import _probability, _rotation
 from deecsim.protocols import election_constants
@@ -113,6 +112,7 @@ class TestProtocolConfig:
 # E_total = 214 J for the benchmark population; E_round = 0.0428 J gives
 # R = 5000 rounds exactly
 ESTIMATE = EnergyEstimate(100, 214.0, 0.0428)
+HET_SEC3 = HeterogeneityParams(m=0.8, m0=0.6, a=2.0, b=3.5, e0=0.5)
 
 
 class TestEstimators:
@@ -123,9 +123,9 @@ class TestEstimators:
         (lambda: ESTIMATE.avg_energy_at(-1), "round index"),
         (lambda: expected_distances(0.0, 1), "side_m must be"),
         (lambda: expected_distances(100.0, 0), "k must be"),
-        (lambda: energy_per_round(0, 5, FieldGeometry(100.0), TABLE1), "n must be"),
-        (lambda: optimal_cluster_count(0, 100.0, TABLE1, 38.25), "n must be"),
-        (lambda: optimal_cluster_count(100, 100.0, TABLE1, 0.0), "d_to_bs must be"),
+        (lambda: make_energy_estimate(0, FieldGeometry(100.0), TABLE1, HET_SEC3), "n must be"),
+        (lambda: make_energy_estimate(-1, FieldGeometry(100.0), TABLE1, HET_SEC3),
+         "math domain error"),
     ])
     def test_validation(self, call, error):
         with pytest.raises(ValueError, match=error):
@@ -162,76 +162,42 @@ class TestEstimators:
         d2, _ = expected_distances(100.0, 16)
         assert d2 == pytest.approx(d1 / 2, rel=1e-12)
 
-    def test_energy_per_round_term_oracle(self, geometry_100):
-        # spreadsheet-style oracle: each term computed independently
-        n, k, bits = 100, 24, 4000
-        d_ch = 100.0 / math.sqrt(2.0 * math.pi * k)
-        d_bs = 0.765 * 100.0 / 2.0
-        electronics = 2.0 * n * 50e-9
-        aggregation = n * 5e-9
-        to_bs = k * 0.0013e-12 * d_bs**4
-        to_ch = n * 10e-12 * d_ch**2
-        expected = bits * (electronics + aggregation + to_bs + to_ch)
-        assert energy_per_round(n, k, geometry_100, LEACH) == pytest.approx(expected, rel=1e-12)
-
-    def test_energy_per_round_k_term_structure(self, geometry_100):
-        # doubling k doubles only the multipath-to-BS term; the to-CH term
-        # halves with the shorter expected distance and the rest is constant
-        def terms(k):
-            d_ch, d_bs = expected_distances(100.0, k)
-            return (
-                4000 * 2.0 * 100 * LEACH.e_elec,
-                4000 * 100 * LEACH.e_da,
-                4000 * k * LEACH.eps_mp * d_bs**4,
-                4000 * 100 * LEACH.eps_fs * d_ch**2,
-            )
-
-        t1, t2 = terms(6), terms(12)
-        assert t2[0] == t1[0] and t2[1] == t1[1]
-        assert t2[2] == pytest.approx(2 * t1[2], rel=1e-12)
-        assert t2[3] == pytest.approx(t1[3] / 2, rel=1e-12)
-        assert energy_per_round(100, 6, geometry_100, LEACH) == pytest.approx(sum(t1), rel=1e-12)
-
-    def test_energy_per_round_linear_in_bits(self, geometry_100):
-        double_bits = RadioParamsWith(bits=8000)
-        assert energy_per_round(100, 10, geometry_100, double_bits) == pytest.approx(
-            2 * energy_per_round(100, 10, geometry_100, LEACH), rel=1e-12
-        )
-
-    def test_optimal_cluster_count_benchmark(self):
-        # oracle: (sqrt(100)/sqrt(2*pi)) * sqrt(10e-12/0.0013e-12) * 100/38.25^2
-        k = optimal_cluster_count(100, 100.0, LEACH, 38.25)
-        assert k == pytest.approx(23.91528224301491, rel=1e-12)
-
-    def test_optimal_cluster_count_sqrt_n_scaling(self):
-        k1 = optimal_cluster_count(100, 100.0, LEACH, 38.25)
-        k4 = optimal_cluster_count(400, 100.0, LEACH, 38.25)
-        assert k4 == pytest.approx(2 * k1, rel=1e-12)
-
-    def test_optimal_cluster_count_ratio_invariance(self):
-        scaled = RadioParamsWith(eps_fs=LEACH.eps_fs * 7, eps_mp=LEACH.eps_mp * 7)
-        assert optimal_cluster_count(100, 100.0, scaled, 38.25) == pytest.approx(
-            optimal_cluster_count(100, 100.0, LEACH, 38.25), rel=1e-12
-        )
+    @pytest.mark.parametrize("n, side, radio, k", [
+        (100, 100.0, LEACH, 24),
+        (400, 100.0, LEACH, 48),
+        (100, 100.0, dataclasses.replace(LEACH, eps_fs=LEACH.eps_fs * 7,
+                                         eps_mp=LEACH.eps_mp * 7), 24),
+        (100, 100.0, dataclasses.replace(LEACH, message_bits=8000), 24),
+        (100, 100.0, TABLE1, 756),
+        (100, 10000.0, LEACH, 1),
+    ], ids=["paper-sec3", "n400", "eps-ratio", "bits8000", "table1-verbatim", "k-floor"])
+    def test_make_energy_estimate_oracle(self, het_sec3, n, side, radio, k):
+        # the closed forms, term by term; k +- 1 moves e_round by 1e-7 relative
+        # or more in every case, so rel=1e-12 pins the rounded count
+        d_bs = 0.765 * side / 2.0
+        k_real = (math.sqrt(n / (2.0 * math.pi)) * math.sqrt(radio.eps_fs / radio.eps_mp)
+                  * side / d_bs**2)
+        assert max(1, round(k_real)) == k
+        d_ch = side / math.sqrt(2.0 * math.pi * k)
+        electronics = 2.0 * n * radio.e_elec
+        aggregation = n * radio.e_da
+        to_bs = k * radio.eps_mp * d_bs**4
+        to_ch = n * radio.eps_fs * d_ch**2
+        expected = radio.message_bits * (electronics + aggregation + to_bs + to_ch)
+        est = make_energy_estimate(n, FieldGeometry(side), radio, het_sec3)
+        assert est.e_round == pytest.approx(expected, rel=1e-12)
+        assert est.e_total == het_sec3.total_energy(n)
 
     def test_make_energy_estimate_identity(self, het_sec3, geometry_100):
         est = make_energy_estimate(100, geometry_100, LEACH, het_sec3)
         assert est.e_total == 214.0
         assert est.r_lifetime == est.e_total / est.e_round
+        assert est.r_lifetime == pytest.approx(5031.458475492437, rel=1e-12)
         assert est.avg_energy_at(0) == 2.14
-
-
-def RadioParamsWith(bits=None, eps_fs=None, eps_mp=None):
-    from deecsim import RadioParams
-
-    return RadioParams(
-        e_elec=LEACH.e_elec,
-        eps_fs=LEACH.eps_fs if eps_fs is None else eps_fs,
-        eps_mp=LEACH.eps_mp if eps_mp is None else eps_mp,
-        e_da=LEACH.e_da,
-        d0=LEACH.d0,
-        message_bits=LEACH.message_bits if bits is None else bits,
-    )
+        # the round dissipation is linear in the packet size
+        double_bits = dataclasses.replace(LEACH, message_bits=8000)
+        doubled = make_energy_estimate(100, geometry_100, double_bits, het_sec3)
+        assert doubled.e_round == pytest.approx(2 * est.e_round, rel=1e-12)
 
 
 class TestClassWeights:
