@@ -72,13 +72,15 @@ def _probability(e, pw, denom, t_low, pw_low):
 
 
 def _rotation(p, rnd):
-    """Epoch lengths and rotating thresholds of probabilities ``p`` (> 0).
+    """Epoch lengths and rotating thresholds of probabilities ``p`` in [0, P_MAX].
 
-    The epoch is ``round(1/p)``, capped at ``_EPOCH_LIMIT``; the threshold
-    at round ``rnd`` is ``p / (1 - p * (rnd mod epoch))``.  It equals ``p``
-    at an epoch's first round and is not clamped to 1.
+    The epoch is ``round(1/p)``, capped at ``_EPOCH_LIMIT`` (taken of
+    ``max(p, 1/_EPOCH_LIMIT)``, so ``p = 0`` divides by no zero); the
+    threshold at round ``rnd`` is ``p / (1 - p * (rnd mod epoch))``.  It
+    equals ``p`` at an epoch's first round, 0 at ``p = 0``, and is not
+    clamped to 1.
     """
-    epoch = np.rint(np.minimum(1.0 / p, _EPOCH_LIMIT)).astype(np.int64)
+    epoch = np.rint(1.0 / np.maximum(p, 1.0 / _EPOCH_LIMIT)).astype(np.int64)
     return epoch, p / (1.0 - p * (rnd % epoch))
 
 
@@ -86,20 +88,16 @@ def _elect_numpy(residual, alive, ineligible_until, u, rnd,
                  pw, denom, t_low, pw_low):
     """Threshold-draw election for one round; returns the elected ids.
 
-    Every node id owns one entry of ``u``; only alive, eligible nodes with
-    ``_probability(...) > 0`` draw, against ``_rotation``'s threshold.
+    Every node id owns one entry of ``u``, and every node gets its
+    ``_probability`` and ``_rotation``; the alive, eligible nodes drawing
+    below their threshold win, which no node with ``p = 0`` does.
     Elected nodes leave the eligible set for one epoch.
     """
-    cand = (alive & (ineligible_until <= rnd)).nonzero()[0]
-    p = _probability(residual[cand], pw[cand], denom, t_low, pw_low)
-    if np.count_nonzero(p) < p.size:
-        drawn = p > 0.0
-        cand, p = cand[drawn], p[drawn]
+    p = _probability(residual, pw, denom, t_low, pw_low)
     epoch, t = _rotation(p, rnd)
     # u < 1, so u < t decides as u < min(t, 1) would
-    won = u[cand] < t
-    heads = cand[won]
-    ineligible_until[heads] = rnd + epoch[won]
+    heads = ((u < t) & alive & (ineligible_until <= rnd)).nonzero()[0]
+    ineligible_until[heads] = rnd + epoch[heads]
     return heads
 
 

@@ -191,10 +191,10 @@ def make_energy_estimate(
     first-order dissipation ``L*(2n*E_elec + n*E_da + k*eps_mp*d_bs^4 +
     n*eps_fs*d_ch^2)`` at ``expected_distances(M, k)`` for the optimal
     cluster count ``k = max(1, round(sqrt(n)/sqrt(2*pi) * sqrt(eps_fs/eps_mp)
-    * M/d_bs^2))``.  Raises ``ValueError`` for ``n < 1``; R is derived by
-    ``EnergyEstimate``."""
+    * M/d_bs^2))``.  ``EnergyEstimate`` raises ``ValueError`` for ``n < 1``
+    (the root is of ``max(n, 0)`` so that ``n < 0`` reaches it) and derives R."""
     _, d_to_bs = expected_distances(geometry.side_m, 1)
-    k = max(1, round((math.sqrt(n) / math.sqrt(2.0 * math.pi))
+    k = max(1, round((math.sqrt(max(n, 0)) / math.sqrt(2.0 * math.pi))
                      * math.sqrt(radio.eps_fs / radio.eps_mp)
                      * (geometry.side_m / (d_to_bs * d_to_bs))))
     d_to_ch, d_to_bs = expected_distances(geometry.side_m, k)

@@ -19,7 +19,7 @@ from deecsim import (
     expected_distances,
     make_energy_estimate,
 )
-from deecsim._kernels import _probability, _rotation
+from deecsim._kernels import _EPOCH_LIMIT, _probability, _rotation
 from deecsim.protocols import election_constants
 
 LEACH = RADIO_PROFILES["leach-standard"]
@@ -124,8 +124,7 @@ class TestEstimators:
         (lambda: expected_distances(0.0, 1), "side_m must be"),
         (lambda: expected_distances(100.0, 0), "k must be"),
         (lambda: make_energy_estimate(0, FieldGeometry(100.0), TABLE1, HET_SEC3), "n must be"),
-        (lambda: make_energy_estimate(-1, FieldGeometry(100.0), TABLE1, HET_SEC3),
-         "math domain error"),
+        (lambda: make_energy_estimate(-1, FieldGeometry(100.0), TABLE1, HET_SEC3), "n must be"),
     ])
     def test_validation(self, call, error):
         with pytest.raises(ValueError, match=error):
@@ -289,6 +288,8 @@ class TestElectionThreshold:
     def test_epoch_start_equals_p(self):
         for r in (0, 10, 20, 1000):
             assert threshold(0.1, r) == 0.1
+            # p = 0 is defined, with no division by zero: it never wins a draw
+            assert threshold(0.0, r) == 0.0
 
     def test_epoch_end_saturates(self):
         # unclamped: at an epoch's last round every draw u < 1 wins
@@ -322,6 +323,7 @@ class TestEpochLength:
         assert epoch_length(0.105) == 10
         # round-half-even at 1/0.4 = 2.5
         assert epoch_length(0.4) == 2
+        assert epoch_length(0.0) == _EPOCH_LIMIT
 
     def test_rotation_rate(self):
         # standalone rotation oracle: static p, per-node eligibility windows;
