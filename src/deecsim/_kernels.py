@@ -113,14 +113,14 @@ def _transmit(d, radio):
         d < radio.d0, bits * radio.eps_fs * d2, bits * radio.eps_mp * (d2 * d2))
 
 
-def _head_charge(members, tx_bs, radio):
-    """Round cost of heads with ``members`` members each, under ``radio``.
+def _head_charge(members, radio):
+    """Round cost before the uplink of heads with ``members`` members each, under ``radio``.
 
-    Reception per member, ``bits*e_elec`` each; aggregation over
-    ``members + 1`` signals, ``bits*e_da`` each; and the uplink ``tx_bs``.
+    Reception per member, ``bits*e_elec`` each, and aggregation over
+    ``members + 1`` signals, ``bits*e_da`` each.
     """
     bits = radio.message_bits
-    return members * (bits * radio.e_elec) + bits * radio.e_da * (members + 1.0) + tx_bs
+    return members * (bits * radio.e_elec) + bits * radio.e_da * (members + 1.0)
 
 
 def _squared_distances(ax, ay, bx, by):
@@ -212,7 +212,9 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     the box bounds and ``dx*dx + dy*dy``, so such a head can neither win
     nor tie.  The kept result is therefore the dense one, ties included:
     the subset keeps the heads' order and the expression is the same.  All
-    other members fall back to the dense search over every head.  Below
+    other members fall back to the dense search over every head.  A tile's
+    near heads are listed as the loop visits it, from one (T, heads) mask
+    per axis, so the masks hold 2 * T * heads booleans.  Below
     ``_TILE_MIN_PAIRS`` members x heads, under 2 tiles a side, or past the
     coordinate guard, the dense search decides for all members.
     """
@@ -237,21 +239,15 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     edges = side * np.arange(t + 1)
     near_col = (hx >= x0 + edges[:-1, None] - margin) & (hx <= x0 + edges[1:, None] + margin)
     near_row = (hy >= y0 + edges[:-1, None] - margin) & (hy <= y0 + edges[1:, None] + margin)
-    # row j * t + i: the heads near tile (i, j), as ascending indices into ids;
-    # (t * t) x heads booleans, about heads**2 / 8 bytes
-    near = (near_row[:, None, :] & near_col[None, :, :]).reshape(t * t, -1)
-    near_ends = np.count_nonzero(near, axis=1).cumsum().tolist()
-    near = near.nonzero()[1]
-    near_x, near_y = hx[near], hy[near]
 
     sx, sy = mx[order], my[order]
     pos = np.full(order.size, -1)  # nearest head near the tile, as an index into ids
-    b0 = h0 = 0
-    for b1, h1 in zip(ends, near_ends):
-        if b0 < b1 and h0 < h1:
-            pos[b0:b1] = _nearest_dense(sx[b0:b1], sy[b0:b1],
-                                        near_x[h0:h1], near_y[h0:h1], near[h0:h1])
-        b0, h0 = b1, h1
+    b0 = 0
+    for k, b1 in enumerate(ends):
+        # tile k's members, and the heads near it as ascending indices into ids
+        if b0 < b1 and (near := (near_row[k // t] & near_col[k % t]).nonzero()[0]).size:
+            pos[b0:b1] = _nearest_dense(sx[b0:b1], sy[b0:b1], hx[near], hy[near], near)
+        b0 = b1
 
     # pos = -1 reads the last head, which is outside the grown box, so it fails
     d2 = _squared_distances(sx, sy, hx[pos], hy[pos])
@@ -297,7 +293,7 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
     member transmits to its nearest head over the actual distance (read from
     ``_pair_tables``' ``hop`` unless it is ``None``) and a head with ``k``
     members pays its ``tx_bs`` plus ``head[k]``, the run's table of
-    ``_head_charge(k, 0.0, radio)`` for ``k < n``; on rounds without heads
+    ``_head_charge(k, radio)`` for ``k < n``; on rounds without heads
     each member uplinks directly and pays ``tx_bs``.  Residuals are clamped
     at zero, the shortfall is the overdraft, and a node dies at zero.  Dead
     nodes must carry no charge, and stay dead.  Returns ``(charge,
@@ -311,7 +307,6 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
         else:
             d = _squared_distances(x[members], y[members], x[nearest], y[nearest])
             charge[members] = _transmit(np.sqrt(d, out=d), radio)
-        # head[k] + tx_bs is _head_charge(k, tx_bs) bit for bit: its last step adds tx_bs
         charge[ch_ids] = head[np.bincount(nearest, minlength=n)[ch_ids]] + tx_bs[ch_ids]
     else:
         charge[members] = tx_bs[members]

@@ -7,8 +7,8 @@ Each round consumes exactly ``n`` uniforms, one per node id in ascending
 order (draws of dead or ineligible nodes are discarded), so the stream
 position is independent of simulation state.  They are drawn ahead in
 chunks ``rng.random((k, n))``, the same bits as ``k`` draws of ``n``, with
-``k`` capped by ``_DRAW_CHUNK_BYTES`` and by the rounds left to the round cap
-(one row past it); each election takes the next row, whatever the round.
+``k`` the rows that fit in ``_DRAW_CHUNK_BYTES`` (at least one); each
+election takes the next row, whatever the round.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .protocols import (
     ProtocolConfig,
 )
 
-_DRAW_CHUNK_BYTES = 64 * 1024  # uniforms drawn ahead: 81 rounds at n = 100, 1 above n = 4096
+_DRAW_CHUNK_BYTES = 64 * 1024  # uniforms drawn ahead, at least one row: 81 rows at n = 100
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,8 @@ class Simulation:
         dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
         self.tx_bs = _transmit(dist_to_bs, config.radio)
         self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, config.radio)
-        self._head_table = _head_charge(np.arange(n), 0.0, config.radio)
-        self._uniforms, self._drawn = iter(()), 0  # the last chunk's rows; rows drawn
+        self._head_table = _head_charge(np.arange(n), config.radio)
+        self._uniforms = iter(())  # the rows of the last chunk not yet taken
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)
         # and (residual, charged, overdraft) in joules
@@ -144,9 +144,8 @@ class Simulation:
         u = next(self._uniforms, None)
         if u is None:
             n = self.config.n
-            rows = max(1, min(_DRAW_CHUNK_BYTES // (8 * n), self.config.max_rounds - self._drawn))
+            rows = max(1, _DRAW_CHUNK_BYTES // (8 * n))
             self._uniforms = iter(self.rng.random((rows, n)))
-            self._drawn += rows
             u = next(self._uniforms)
         denom = self._energy_factor * self.average_energy()
         return self.kernels.elect(

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -279,7 +280,7 @@ class TestDrawBuffer:
 
     @pytest.mark.parametrize("n, max_rounds, elections, shapes", [
         (100, 200, 82, [(81, 100), (81, 100)]),
-        (100, 90, 90, [(81, 100), (9, 100)]),  # no row past the round cap
+        (100, 50, 50, [(81, 100)]),  # the round cap does not shorten a chunk
         (5000, 12, 2, [(1, 5000), (1, 5000)]),  # two rows would pass the byte cap
     ])
     def test_chunks_stay_within_the_byte_cap(self, config_sec3, n, max_rounds, elections,
@@ -482,6 +483,24 @@ class TestAssignExactness:
             members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
             _assert_matches_brute_force(x, y, alive, ch_ids)
         assert members[0] == 32 and nearest[0] == 0
+
+    def test_head_heavy_round_lists_near_heads_per_tile(self):
+        # past the estimate's lifetime about 99% of alive nodes are heads:
+        # 200 members and 19800 heads take the tiled path with 49 tiles a
+        # side, and no (tiles x heads) mask may be built for them
+        x, y, alive, ch_ids = _random_layout(1, 20000, 19800)
+        members = np.setdiff1d(alive.nonzero()[0], ch_ids)
+        t = math.isqrt(ch_ids.size // _kernels._HEADS_PER_TILE)
+        assert t == 49 and members.size * ch_ids.size >= _kernels._TILE_MIN_PAIRS
+        args = (x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
+        tracemalloc.start()
+        try:
+            nearest = _kernels._nearest_tiled(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(nearest, _kernels._nearest_dense(*args))
+        assert peak < t * t * ch_ids.size / 8
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
            heads=st.integers(0, 40), dead_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
@@ -700,7 +719,7 @@ def steady_cases(draw):
         "residual": np.zeros(n), "alive": np.array([role != "dead" for role in roles]),
         "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
         "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
-        "hop": None, "head": _kernels._head_charge(np.arange(n), 0.0, radio),
+        "hop": None, "head": _kernels._head_charge(np.arange(n), radio),
     }
     (charge, _), _, _ = _steady(_steady_loop, case)
     scales = [1.0 + 2**-52, 3.0] if draw(st.booleans()) else [0.5, 1.0, 1.0 + 2**-52, 3.0]
