@@ -54,19 +54,21 @@ _EPOCH_LIMIT = 2.0**53
 P_MAX = 0.99
 
 
-def _probability(e, pw, denom, t_low, pw_low):
-    """Election probability ``min(pw * e / denom, P_MAX)`` of residuals ``e``.
+def _probability(e, avg, pw, factor, t_low, pw_low):
+    """Election probability ``min(pw * e / (factor * avg), P_MAX)`` of residuals ``e``.
 
-    ``pw`` is each node's ``p_opt * w_class`` and ``pw_low`` the
-    ``p_opt * w_low`` that replaces it at or below ``t_low``; a negative
-    ``t_low`` disables the low-energy rule.  ``denom`` is
-    ``(1 + m*(a + m0*b)) * avg_energy``.  ``e`` and ``pw`` are arrays of one
-    shape (or broadcast to one); the result is a new array.
+    ``avg`` is the round's average energy; the rest are the run's constants
+    from ``protocols.election_constants``.  ``pw`` is each node's
+    ``p_opt * w_class``, ``factor`` the population's ``1 + m*(a + m0*b)``,
+    and ``pw_low`` the ``p_opt * w_low`` that replaces ``pw`` at or below
+    ``t_low``; a negative ``t_low`` disables the low-energy rule.  ``e``,
+    ``avg`` and ``pw`` are scalars or arrays that broadcast to one shape;
+    the result is a new array.
     """
     if t_low >= 0.0 and np.count_nonzero(low := e <= t_low):
         pw = np.where(low, pw_low, pw)
     p = pw * e
-    p /= denom
+    p /= factor * avg
     np.minimum(p, P_MAX, out=p)
     return p
 
@@ -84,16 +86,17 @@ def _rotation(p, rnd):
     return epoch, p / (1.0 - p * (rnd % epoch))
 
 
-def _elect_numpy(residual, alive, ineligible_until, u, rnd,
-                 pw, denom, t_low, pw_low):
+def _elect_numpy(residual, alive, ineligible_until, u, rnd, avg,
+                 pw, factor, t_low, pw_low):
     """Threshold-draw election for one round; returns the elected ids.
 
-    Every node id owns one entry of ``u``, and every node gets its
-    ``_probability`` and ``_rotation``; the alive, eligible nodes drawing
-    below their threshold win, which no node with ``p = 0`` does.
-    Elected nodes leave the eligible set for one epoch.
+    The round's state and average energy ``avg`` come first, the run's
+    ``_probability`` constants last.  Every node id owns one entry of
+    ``u``, and every node gets its ``_probability`` and ``_rotation``; the
+    alive, eligible nodes drawing below their threshold win, which no node
+    with ``p = 0`` does.  Elected nodes leave the eligible set for one epoch.
     """
-    p = _probability(residual, pw, denom, t_low, pw_low)
+    p = _probability(residual, avg, pw, factor, t_low, pw_low)
     epoch, t = _rotation(p, rnd)
     # u < 1, so u < t decides as u < min(t, 1) would
     heads = ((u < t) & alive & (ineligible_until <= rnd)).nonzero()[0]

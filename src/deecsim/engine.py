@@ -110,11 +110,9 @@ class Simulation:
         self._estimated = config.protocol.avg_energy_mode == "estimated"
 
         # Run constants: the kernels see only what changes from round to round.
-        pw_by_class, self._t_low, self._pw_low = proto.election_constants(
-            config.protocol, config.het
-        )
-        self._pw = pw_by_class[node_class]
-        self._energy_factor = config.het.total_energy_factor
+        # The election law's are per-node p_opt*w, then factor, t_low and pw_low.
+        pw_by_class, *rest = proto.election_constants(config.protocol, config.het)
+        self._law = (pw_by_class[node_class], *rest)
         bx, by = config.geometry.bs_position
         dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
         self.tx_bs = _transmit(dist_to_bs, config.radio)
@@ -147,18 +145,8 @@ class Simulation:
             rows = max(1, _DRAW_CHUNK_BYTES // (8 * n))
             self._uniforms = iter(self.rng.random((rows, n)))
             u = next(self._uniforms)
-        denom = self._energy_factor * self.average_energy()
-        return self.kernels.elect(
-            self.residual,
-            self.alive,
-            self.ineligible_until,
-            u,
-            self.round,
-            self._pw,
-            denom,
-            self._t_low,
-            self._pw_low,
-        )
+        return self.kernels.elect(self.residual, self.alive, self.ineligible_until, u,
+                                  self.round, self.average_energy(), *self._law)
 
     def form_clusters(self, ch_ids: np.ndarray) -> tuple:
         """The round's clusters ``(ch_ids, members, nearest)``: the heads,

@@ -10,7 +10,7 @@ The four protocols share one election law: an alive node's probability is
 class-dependent weight; it draws against the rotating threshold
 ``p / (1 - p * (r mod round(1/p)))``.  The law itself is written once, in
 ``_kernels._probability`` and ``_kernels._rotation``; this module supplies
-the weights and the low-energy rule it is evaluated with.
+the weights, the factor and the low-energy rule it is evaluated with.
 
 ============  =====================  =============================================
 protocol      weights (nml/adv/sup)  low-energy rule
@@ -209,12 +209,14 @@ def make_energy_estimate(
 
 def election_constants(
     cfg: ProtocolConfig, het: HeterogeneityParams
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, float, float, float]:
     """Per-run constants of the election law in ``_kernels._probability``.
 
-    Returns ``(pw_by_class, t_low, pw_low)``: ``p_opt * w`` for the normal,
-    advanced and super class, and the low-energy rule's threshold ``z * e0``
-    and ``p_opt * w_low``.  A negative ``t_low`` disables the rule.
+    Returns ``(pw_by_class, factor, t_low, pw_low)``: ``p_opt * w`` for the
+    normal, advanced and super class, the population's
+    ``total_energy_factor`` that scales the average energy, and the
+    low-energy rule's threshold ``z * e0`` and ``p_opt * w_low``.  A
+    negative ``t_low`` disables the rule.
     """
     # the module table's rows: super nodes' bonus, low-energy weight or None
     bonus, w_low = {
@@ -224,6 +226,5 @@ def election_constants(
         Protocol.EDDEEC: (het.b, cfg.c * (1.0 + het.b)),
     }[cfg.kind]
     pw_by_class = np.array([cfg.p_opt * w for w in (1.0, 1.0 + het.a, 1.0 + bonus)])
-    if w_low is None:
-        return pw_by_class, -1.0, 0.0
-    return pw_by_class, cfg.z * het.e0, cfg.p_opt * w_low
+    low = (-1.0, 0.0) if w_low is None else (cfg.z * het.e0, cfg.p_opt * w_low)
+    return pw_by_class, het.total_energy_factor, *low

@@ -2,9 +2,18 @@
 and the scalar first-order radio law they charge through.
 
 Each kernel takes the arguments of its counterpart in
-``deecsim._kernels`` and returns the same values, evaluating the same
-floating-point expressions in the same order, so a run on ``LOOP_KERNELS``
-is bit-identical to a run on the default kernels.  The tables that
+``deecsim._kernels`` and returns the same values, so a run on
+``LOOP_KERNELS`` is bit-identical to a run on the default kernels.  The
+assignment and steady loops evaluate the same floating-point expressions
+in the same order.  The election loop computes the same probability, but
+takes the epoch and threshold in its own forms: it skips ``p <= 0``,
+takes the epoch as ``rint(min(1/p, _EPOCH_LIMIT))`` and clamps ``t`` at 1,
+where ``_elect_numpy`` takes ``rint(1/max(p, 1/_EPOCH_LIMIT))`` for every
+node and compares ``u`` with an unclamped ``t``.  The decisions agree:
+for ``p > 0`` the two epochs are equal (``1/(1/_EPOCH_LIMIT)`` is exactly
+``_EPOCH_LIMIT``, and past it both give the limit), ``p = 0`` gives
+``t = 0``, which no draw is below, and ``u < 1``, so ``u < t`` decides as
+``u < min(t, 1)``.  The tables that
 ``_assign_numpy`` and ``_steady_numpy`` read (pair distances, hop costs
 and head charges) are accepted and ignored: the loops recompute every
 distance and charge from the coordinates and the radio, so the parity
@@ -114,11 +123,12 @@ def round_charges(sim, clusters):
     return _charges(sim.x, sim.y, bs_cost, *clusters, radio)
 
 
-def _elect_loop(residual, alive, ineligible_until, u, rnd,
-                pw, denom, t_low, pw_low):
+def _elect_loop(residual, alive, ineligible_until, u, rnd, avg,
+                pw, factor, t_low, pw_low):
     n = residual.shape[0]
     heads = np.empty(n, dtype=np.int64)
     k = 0
+    scale = factor * avg
     for i in range(n):
         if not alive[i] or ineligible_until[i] > rnd:
             continue
@@ -126,7 +136,7 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd,
         w = pw[i]
         if t_low >= 0.0 and e <= t_low:
             w = pw_low
-        p = w * e / denom
+        p = w * e / scale
         if p > P_MAX:
             p = P_MAX
         if p <= 0.0:

@@ -26,6 +26,7 @@ from _loop_kernels import round_charges
 
 from deecsim import (
     RADIO_PROFILES,
+    BatchSummary,
     Protocol,
     ProtocolConfig,
     Simulation,
@@ -63,18 +64,16 @@ def batch(spec):
     return results, elapsed
 
 
-def mean_of(results, field):
-    values = []
-    for result in results:
-        summary = summarize(result)
-        value = getattr(summary, field)
-        values.append(float(value if value is not None else summary.rounds))
-    return float(np.mean(values))
+def means(results, field):
+    """Each protocol's ``BatchSummary`` mean of ``field``, as the CLI's
+    summaries write it."""
+    return {p: getattr(BatchSummary.from_results(runs), field).mean
+            for p, runs in results.items()}
 
 
 def test_criterion_1_stability_ordering(batch):
     results, elapsed = batch
-    first = {p: mean_of(results[p], "first_dead") for p in results}
+    first = means(results, "first_dead")
     ordering_ok = first["eddeec"] > first["edeec"] > first["ddeec"] > first["deec"]
     margin_ok = first["eddeec"] >= 1.3 * first["deec"]
     runtime_ok = elapsed < 120.0
@@ -89,7 +88,7 @@ def test_criterion_1_stability_ordering(batch):
 
 def test_criterion_2_lifetime_margins(batch, spec):
     results, _ = batch
-    all_dead = {p: mean_of(results[p], "all_dead") for p in results}
+    all_dead = means(results, "all_dead")
     close = abs(all_dead["edeec"] - all_dead["eddeec"]) <= 0.05 * min(
         all_dead["edeec"], all_dead["eddeec"]
     )
@@ -125,23 +124,13 @@ def test_batch_matches_golden_digests(batch):
 
 def test_criterion_3_packet_dominance(batch):
     results, _ = batch
-    packets = {
-        p: float(np.mean([summarize(r).total_packets_bs for r in results[p]]))
-        for p in results
-    }
+    packets = means(results, "total_packets")
     ok = packets["eddeec"] >= packets["edeec"] >= packets["deec"]
     detail = (
         f"mean packets at death: eddeec={packets['eddeec']:.0f}, "
         f"edeec={packets['edeec']:.0f}, deec={packets['deec']:.0f}"
     )
     report(3, "packets-to-BS dominance", ok, detail)
-
-
-def probabilities(e, pw, avg, het, cfg):
-    """The engine's election probability of residuals ``e`` at class
-    weights ``pw`` (``p_opt * w``) and average energies ``avg``."""
-    _, t_low, pw_low = election_constants(cfg, het)
-    return _probability(e, pw, het.total_energy_factor * avg, t_low, pw_low)
 
 
 def test_criterion_4_reduction_identity(spec):
@@ -154,11 +143,10 @@ def test_criterion_4_reduction_identity(spec):
         node_class[i] = rng.integers(0, 3)
         e[i] = rng.uniform(1e-9, 2.25)
         avg[i] = rng.uniform(1e-6, 3.0)
-    p = {
-        cfg.kind: probabilities(e, election_constants(cfg, het)[0][node_class],
-                                avg, het, cfg)
-        for cfg in (eddeec, edeec)
-    }
+    p = {}
+    for cfg in (eddeec, edeec):
+        pw_by_class, *rest = election_constants(cfg, het)
+        p[cfg.kind] = _probability(e, avg, pw_by_class[node_class], *rest)
     mismatches = int(np.count_nonzero(p[Protocol.EDDEEC] != p[Protocol.EDEEC]))
     report(4, "z=0 reduces the four-branch rule to the three-branch rule",
            mismatches == 0, f"{mismatches}/1000 mismatches (tolerance 0)")
@@ -168,15 +156,14 @@ def test_criterion_5_sub_threshold_equality(spec):
     rng = np.random.default_rng(5)
     het = spec.template.het
     cfg = replace(spec.template.protocol, kind=Protocol.EDDEEC)
-    threshold = election_constants(cfg, het)[1]
+    threshold = election_constants(cfg, het)[2]
     assert threshold == 0.35
     e, avg = np.zeros((1000, 1)), np.zeros((1000, 1))
     for i in range(1000):
         e[i] = rng.uniform(1e-9, threshold)
         avg[i] = rng.uniform(1e-6, 3.0)
     # one column per class: normal, advanced, super
-    pw_by_class = election_constants(cfg, het)[0]
-    p = probabilities(np.repeat(e, 3, axis=1), pw_by_class, avg, het, cfg)
+    p = _probability(np.repeat(e, 3, axis=1), avg, *election_constants(cfg, het))
     mismatches = int(np.count_nonzero((p != p[:, :1]).any(axis=1)))
     report(5, "sub-threshold election probability is class-blind",
            mismatches == 0, f"{mismatches}/1000 mismatches (tolerance 0)")
@@ -237,7 +224,7 @@ def test_criterion_8_closed_forms():
     het = load_spec("paper-sec3").template.het
     eddeec = ProtocolConfig(kind=Protocol.EDDEEC)
     checks = {
-        "absolute threshold 0.7*0.5": election_constants(eddeec, het)[1] == 0.35,
+        "absolute threshold 0.7*0.5": election_constants(eddeec, het)[2] == 0.35,
         "expected BS distance": expected_distances(100.0, 1)[1] == 38.25,
         "nominal total energy": het.total_energy(100) == 214.0,
         "saturated threshold": abs(_rotation(np.array([0.1]), 9)[1][0] - 1.0) <= 1e-12,
@@ -248,7 +235,7 @@ def test_criterion_8_closed_forms():
 
 def test_criterion_9_epoch_rotation_rate():
     # the engine's election kernel with p = 0.1 for every node: unit
-    # residuals, p_opt * w = 0.1, denom = 1 and the low-energy rule off
+    # residuals and average, p_opt * w = 0.1, factor 1 and the low-energy rule off
     n, rounds = 100, 1000  # 1e5 node-rounds
     rng = np.random.default_rng(902)
     residual = np.ones(n)
@@ -258,7 +245,7 @@ def test_criterion_9_epoch_rotation_rate():
     elections = 0
     for r in range(rounds):
         u = rng.random(n)
-        heads = _elect_numpy(residual, alive, ineligible_until, u, r,
+        heads = _elect_numpy(residual, alive, ineligible_until, u, r, 1.0,
                              pw, 1.0, -1.0, 0.0)
         elections += heads.size
     rate = elections / (n * rounds)

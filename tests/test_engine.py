@@ -593,11 +593,13 @@ def election_cases(draw):
         "ineligible_until": np.array(column(st.integers(0, 2 * rnd + 2)), dtype=np.int64),
         "u": np.array(column(st.floats(0.0, 1.0, exclude_max=True)), dtype=np.float64),
         "rnd": rnd,
+        # with factor 1, 1e-3 pushes most p past P_MAX
+        "avg": draw(st.sampled_from([1e-3, 0.214, 1.07, 5.0])),
         # p_opt * class weight for p_opt = 0.1 and weights 1, 1+a, 1+b
         "pw": np.array(column(st.sampled_from([0.1 * w for w in (1.0, 3.0, 4.5)])),
                        dtype=np.float64),
-        # 1e-3 pushes most p past P_MAX
-        "denom": draw(st.sampled_from([1e-3, 0.214, 1.07, 5.0])),
+        # 1 and the paper population's 1 + m*(a + m0*b) = 1 + 0.8*(2 + 0.6*3.5)
+        "factor": draw(st.sampled_from([1.0, 1.0 + 0.8 * (2.0 + 0.6 * 3.5)])),
         # the rule off, or its threshold exactly at one node's residual
         "t_low": draw(st.one_of(st.just(-1.0), st.sampled_from(residual.tolist()))),
         # p_opt * w_low for EDDEEC at c = 0.1 and for DDEEC
@@ -629,8 +631,8 @@ class TestElectionKernels:
         case = {
             "residual": np.array([5.0, 1e-300]), "alive": np.ones(2, dtype=np.bool_),
             "ineligible_until": np.zeros(2, dtype=np.int64), "u": np.array([0.5, 0.0]),
-            "rnd": 7, "pw": np.array([0.45, 0.45]), "denom": 1e-3, "t_low": -1.0,
-            "pw_low": 0.0,
+            "rnd": 7, "avg": 1e-3, "pw": np.array([0.45, 0.45]), "factor": 1.0,
+            "t_low": -1.0, "pw_low": 0.0,
         }
         heads, ineligible = _elect(_kernels._elect_numpy, case)
         assert heads.tolist() == [0, 1]
@@ -954,7 +956,7 @@ class TestRun:
         for seed in spec.seeds[:3]:
             config, twin_config = (dataclasses.replace(spec.network_config(kind, seed),
                                                        max_rounds=600) for kind in (base, twin))
-            t_low = election_constants(twin_config.protocol, twin_config.het)[1]
+            t_low = election_constants(twin_config.protocol, twin_config.het)[2]
             sim = Simulation(config)
             first_low = None
             while sim.round < 600 and sim.alive_count():

@@ -28,10 +28,8 @@ TABLE1 = RADIO_PROFILES["table1-verbatim"]
 
 def probability(residual, avg, het, cfg, node_class=NodeClass.NORMAL):
     """The election kernel's probability for one node of ``node_class``."""
-    pw_by_class, t_low, pw_low = election_constants(cfg, het)
-    p = _probability(np.array([residual]), pw_by_class[[node_class]],
-                     het.total_energy_factor * avg, t_low, pw_low)
-    return float(p[0])
+    pw_by_class, *rest = election_constants(cfg, het)
+    return float(_probability(np.array([residual]), avg, pw_by_class[[node_class]], *rest)[0])
 
 
 def threshold(p, r):
@@ -215,7 +213,7 @@ class TestClassWeights:
     def test_low_energy_rules(self, het_sec3):
         def rule(kind):
             cfg = ProtocolConfig(kind=kind, z=0.7, c=1.0)
-            return election_constants(cfg, het_sec3)[1:]
+            return election_constants(cfg, het_sec3)[2:]
 
         assert rule(Protocol.EDDEEC) == (0.35, 0.1 * 4.5)
         assert rule(Protocol.DDEEC) == (0.35, 0.1 * 3.0)
