@@ -86,20 +86,19 @@ def _rotation(p, rnd):
     return epoch, p / (1.0 - p * (rnd % epoch))
 
 
-def _elect_numpy(residual, alive, ineligible_until, u, rnd, avg,
-                 pw, factor, t_low, pw_low):
+def _elect_numpy(residual, ineligible_until, u, rnd, avg, pw, factor, t_low, pw_low):
     """Threshold-draw election for one round; returns the elected ids.
 
     The round's state and average energy ``avg`` come first, the run's
     ``_probability`` constants last.  Every node id owns one entry of
     ``u``, and every node gets its ``_probability`` and ``_rotation``; the
-    alive, eligible nodes drawing below their threshold win, which no node
-    with ``p = 0`` does.  Elected nodes leave the eligible set for one epoch.
+    eligible nodes drawing below their threshold win, which no dead node
+    (``p = 0``) does.  Elected nodes leave the eligible set for one epoch.
     """
     p = _probability(residual, avg, pw, factor, t_low, pw_low)
     epoch, t = _rotation(p, rnd)
     # u < 1, so u < t decides as u < min(t, 1) would
-    heads = ((u < t) & alive & (ineligible_until <= rnd)).nonzero()[0]
+    heads = ((u < t) & (ineligible_until <= rnd)).nonzero()[0]
     ineligible_until[heads] = rnd + epoch[heads]
     return heads
 
@@ -262,13 +261,13 @@ def _nearest_tiled(mx, my, hx, hy, ids):
     return out
 
 
-def _assign_numpy(x, y, alive, ch_ids, d2):
+def _assign_numpy(x, y, residual, ch_ids, d2):
     """Nearest-head cluster assignment, ties to the lower head id.
 
     Returns ``(members, nearest)``: the ascending ids of the alive nodes
-    that are not heads, and each member's nearest head id.  With no heads,
-    ``members`` is every alive node, each uplinking straight to the BS, and
-    ``nearest`` is empty.
+    (residual positive) that are not heads, and each member's nearest head
+    id.  With no heads, ``members`` is every alive node, each uplinking
+    straight to the BS, and ``nearest`` is empty.
 
     Given ``_pair_tables``' ``d2``, the members x heads block is read from
     it (the heads' rows, transposed, at the members) and no distance is
@@ -277,7 +276,7 @@ def _assign_numpy(x, y, alive, ch_ids, d2):
     Both evaluate the same ``_squared_distances`` and keep the lowest head
     id on ties, so they return identical heads.
     """
-    member = alive.copy()
+    member = residual.astype(bool)
     member[ch_ids] = False
     members = member.nonzero()[0]
     if ch_ids.size == 0 or members.size == 0:
@@ -287,8 +286,7 @@ def _assign_numpy(x, y, alive, ch_ids, d2):
     return members, _nearest_tiled(x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
 
 
-def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
-                  hop, head):
+def _steady_numpy(x, y, tx_bs, residual, ch_ids, members, nearest, radio, hop, head):
     """Steady-state data transfer: charge every alive node once.
 
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
@@ -297,10 +295,11 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
     ``_pair_tables``' ``hop`` unless it is ``None``) and a head with ``k``
     members pays its ``tx_bs`` plus ``head[k]``, the run's table of
     ``_head_charge(k, radio)`` for ``k < n``; on rounds without heads
-    each member uplinks directly and pays ``tx_bs``.  Residuals are clamped
-    at zero, the shortfall is the overdraft, and a node dies at zero.  Dead
-    nodes must carry no charge, and stay dead.  Returns ``(charge,
-    overdraft)`` per node, the overdraft ``None`` (all zeros) if none dies.
+    each member uplinks directly and pays ``tx_bs``.  A node dies at +0.0,
+    which an exact depletion leaves (``x - x`` is +0.0); a node overdrawn
+    below it is clamped there, and its shortfall is the overdraft.  Dead
+    nodes carry no charge.  Returns ``(charge, overdraft)`` per node, the
+    overdraft ``None`` (all zeros) when no node is overdrawn.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -314,14 +313,11 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
     else:
         charge[members] = tx_bs[members]
     residual -= charge
-    dying = residual <= 0.0
-    dying &= alive  # dead nodes, charged nothing, may sit at zero
-    if not np.count_nonzero(dying):
+    if not np.count_nonzero(residual < 0.0):
         return charge, None
     # 0.0 - (residual - charge) is charge - residual bit for bit, +0.0 included
     overdraft = np.maximum(np.subtract(0.0, residual), 0.0)
     np.maximum(residual, 0.0, out=residual)
-    alive ^= dying
     return charge, overdraft
 
 
@@ -329,11 +325,12 @@ def _steady_numpy(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
 class Backend:
     """The three round kernels ``Simulation`` calls, under a reported name.
 
-    ``steady`` returns the per-node ``(charge, overdraft)``; the overdraft
-    may be ``None``, meaning all zeros.  Every call gets the run's tables
-    last, ``d2`` to ``assign`` and ``hop`` and ``head`` to ``steady``, with
-    the pair tables ``None`` above ``_PAIR_TABLE_MAX_NODES``; a kernel set
-    may ignore them, as they hold only what the coordinates and radio give.
+    A node is alive while its residual is positive.  ``steady`` returns the
+    per-node ``(charge, overdraft)``, the overdraft ``None`` (all zeros) if
+    no node is overdrawn.  Every call gets the run's tables last, ``d2`` to
+    ``assign`` and ``hop`` and ``head`` to ``steady``, with the pair tables
+    ``None`` above ``_PAIR_TABLE_MAX_NODES``; a kernel set may ignore them,
+    as they hold only what the coordinates and radio give.
     """
 
     name: str

@@ -100,8 +100,7 @@ class Simulation:
             [config.het.initial_energy(c) for c in NodeClass], dtype=np.float64
         )
         self.initial_energy = per_class[node_class]
-        self.residual = self.initial_energy.copy()
-        self.alive = np.ones(n, dtype=np.bool_)
+        self.residual = self.initial_energy.copy()  # positive while alive, +0.0 when dead
         self.ineligible_until = np.zeros(n, dtype=np.int64)
 
         self.estimate: EnergyEstimate = proto.make_energy_estimate(
@@ -125,17 +124,24 @@ class Simulation:
         self._counts: list[tuple] = []
         self._energy: list[tuple] = []
 
+    @property
+    def alive(self) -> np.ndarray:
+        """Read-only mask of the alive nodes, derived from the residual."""
+        alive = self.residual.astype(bool)
+        alive.flags.writeable = False
+        return alive
+
     def alive_count(self) -> int:
-        return int(np.count_nonzero(self.alive))
+        return int(np.count_nonzero(self.residual))
 
     def average_energy(self) -> float:
         """Average-energy reference for the current round, per config mode."""
         if self._estimated:
             return self.estimate.avg_energy_at(self.round)
-        count = self.alive_count()
-        if count == 0:
+        alive = self.residual[self.alive]
+        if alive.size == 0:
             return AVG_ENERGY_FLOOR_J
-        return max(float(self.residual[self.alive].sum()) / count, AVG_ENERGY_FLOOR_J)
+        return max(float(alive.sum()) / alive.size, AVG_ENERGY_FLOOR_J)
 
     def elect_cluster_heads(self) -> np.ndarray:
         """Run the election draws for the current round; returns head ids."""
@@ -145,25 +151,25 @@ class Simulation:
             rows = max(1, _DRAW_CHUNK_BYTES // (8 * n))
             self._uniforms = iter(self.rng.random((rows, n)))
             u = next(self._uniforms)
-        return self.kernels.elect(self.residual, self.alive, self.ineligible_until, u,
-                                  self.round, self.average_energy(), *self._law)
+        return self.kernels.elect(self.residual, self.ineligible_until, u, self.round,
+                                  self.average_energy(), *self._law)
 
     def form_clusters(self, ch_ids: np.ndarray) -> tuple:
         """The round's clusters ``(ch_ids, members, nearest)``: the heads,
         the ascending ids of the other alive nodes, and each member's
         nearest head id (ties to the lower id).  With no heads every alive
         node is a member that uplinks directly, and ``nearest`` is empty."""
-        return (ch_ids, *self.kernels.assign(self.x, self.y, self.alive, ch_ids, self.pair_d2))
+        return (ch_ids, *self.kernels.assign(self.x, self.y, self.residual, ch_ids, self.pair_d2))
 
     def steady_state(self, clusters: tuple) -> None:
         """Charge the transfers of ``form_clusters``' clusters, apply
         deaths, record the round's row and advance the round.  Packets come
         from the clusters: to the BS one per head (per member if none), to
-        heads one per ``nearest`` entry.  Only nodes that die overdraw, so
-        the overdraft is +0.0 on rounds without a death."""
+        heads one per ``nearest`` entry.  The overdraft is +0.0 on rounds
+        where no node is overdrawn, an exact depletion's included."""
         ch_ids, members, nearest = clusters
         charge, overdraft = self.kernels.steady(
-            self.x, self.y, self.tx_bs, self.residual, self.alive, *clusters,
+            self.x, self.y, self.tx_bs, self.residual, *clusters,
             self.config.radio, self.pair_hop, self._head_table,
         )
         to_bs = ch_ids.size or members.size

@@ -3,23 +3,26 @@ and the scalar first-order radio law they charge through.
 
 Each kernel takes the arguments of its counterpart in
 ``deecsim._kernels`` and returns the same values, so a run on
-``LOOP_KERNELS`` is bit-identical to a run on the default kernels.  The
-assignment and steady loops evaluate the same floating-point expressions
-in the same order.  The election loop computes the same probability, but
-takes the epoch and threshold in its own forms: it skips ``p <= 0``,
-takes the epoch as ``rint(min(1/p, _EPOCH_LIMIT))`` and clamps ``t`` at 1,
-where ``_elect_numpy`` takes ``rint(1/max(p, 1/_EPOCH_LIMIT))`` for every
-node and compares ``u`` with an unclamped ``t``.  The decisions agree:
-for ``p > 0`` the two epochs are equal (``1/(1/_EPOCH_LIMIT)`` is exactly
-``_EPOCH_LIMIT``, and past it both give the limit), ``p = 0`` gives
-``t = 0``, which no draw is below, and ``u < 1``, so ``u < t`` decides as
-``u < min(t, 1)``.  The tables that
-``_assign_numpy`` and ``_steady_numpy`` read (pair distances, hop costs
-and head charges) are accepted and ignored: the loops recompute every
-distance and charge from the coordinates and the radio, so the parity
-tests hold the tables to the scalar law.  The loop steady kernel always
-returns its overdraft array, all zeros on a round without a death, where
-``_steady_numpy`` may return ``None``.  The tests use them as
+``LOOP_KERNELS`` is bit-identical to a run on the default kernels.  A node
+is alive while its residual is positive; no kernel takes another record
+of it.  The assignment and steady loops test ``residual[i] > 0.0`` per
+node and evaluate the same floating-point expressions in the same order.
+The steady loop kills a node by its own rule, a remainder at or below
+0.0, which it sets to 0.0, and always returns its overdraft array, all
+zeros on a round without an overdrawn node, where ``_steady_numpy``
+returns ``None``.  The election loop computes the same probability, but
+takes the epoch and threshold in its own forms: it skips ``p <= 0``
+(every dead node), takes the epoch as ``rint(min(1/p, _EPOCH_LIMIT))``
+and clamps ``t`` at 1, where ``_elect_numpy`` takes
+``rint(1/max(p, 1/_EPOCH_LIMIT))`` for every node and compares ``u`` with
+an unclamped ``t``.  The decisions agree: for ``p > 0`` the two epochs are
+equal (``1/(1/_EPOCH_LIMIT)`` is exactly ``_EPOCH_LIMIT``, and past it
+both give the limit), ``p = 0`` gives ``t = 0``, which no draw is below,
+and ``u < 1``, so ``u < t`` decides as ``u < min(t, 1)``.  The tables
+that ``_assign_numpy`` and ``_steady_numpy`` read (pair distances, hop
+costs and head charges) are accepted and ignored: the loops recompute
+every distance and charge from the coordinates and the radio, so the
+parity tests hold the tables to the scalar law.  The tests use them as
 the oracle for the vectorized kernels; they are far too slow to run
 experiments with.
 
@@ -123,14 +126,13 @@ def round_charges(sim, clusters):
     return _charges(sim.x, sim.y, bs_cost, *clusters, radio)
 
 
-def _elect_loop(residual, alive, ineligible_until, u, rnd, avg,
-                pw, factor, t_low, pw_low):
+def _elect_loop(residual, ineligible_until, u, rnd, avg, pw, factor, t_low, pw_low):
     n = residual.shape[0]
     heads = np.empty(n, dtype=np.int64)
     k = 0
     scale = factor * avg
     for i in range(n):
-        if not alive[i] or ineligible_until[i] > rnd:
+        if ineligible_until[i] > rnd:
             continue
         e = residual[i]
         w = pw[i]
@@ -156,7 +158,7 @@ def _elect_loop(residual, alive, ineligible_until, u, rnd, avg,
     return heads[:k]
 
 
-def _assign_loop(x, y, alive, ch_ids, d2):
+def _assign_loop(x, y, residual, ch_ids, d2):
     n = x.shape[0]
     is_head = np.zeros(n, dtype=np.bool_)
     for j in range(ch_ids.size):
@@ -165,7 +167,7 @@ def _assign_loop(x, y, alive, ch_ids, d2):
     nearest = np.empty(n, dtype=np.int64)
     k = 0
     for i in range(n):
-        if not alive[i] or is_head[i]:
+        if not residual[i] > 0.0 or is_head[i]:
             continue
         members[k] = i
         best = -1
@@ -183,20 +185,18 @@ def _assign_loop(x, y, alive, ch_ids, d2):
     return members[:k], nearest[:k if ch_ids.size else 0]
 
 
-def _steady_loop(x, y, tx_bs, residual, alive, ch_ids, members, nearest, radio,
-                 hop, head):
+def _steady_loop(x, y, tx_bs, residual, ch_ids, members, nearest, radio, hop, head):
     n = x.shape[0]
     charge = _charges(x, y, tx_bs, ch_ids, members, nearest, radio)
     overdraft = np.zeros(n, dtype=np.float64)
 
     for i in range(n):
-        if not alive[i]:
+        if not residual[i] > 0.0:
             continue
         remaining = residual[i] - charge[i]
         if remaining <= 0.0:
             overdraft[i] = charge[i] - residual[i]
             residual[i] = 0.0
-            alive[i] = False
         else:
             residual[i] = remaining
 

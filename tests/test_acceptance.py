@@ -239,14 +239,12 @@ def test_criterion_9_epoch_rotation_rate():
     n, rounds = 100, 1000  # 1e5 node-rounds
     rng = np.random.default_rng(902)
     residual = np.ones(n)
-    alive = np.ones(n, dtype=np.bool_)
     pw = np.full(n, 0.1)
     ineligible_until = np.zeros(n, dtype=np.int64)
     elections = 0
     for r in range(rounds):
         u = rng.random(n)
-        heads = _elect_numpy(residual, alive, ineligible_until, u, r, 1.0,
-                             pw, 1.0, -1.0, 0.0)
+        heads = _elect_numpy(residual, ineligible_until, u, r, 1.0, pw, 1.0, -1.0, 0.0)
         elections += heads.size
     rate = elections / (n * rounds)
     report(9, "static-probability rotation elects each node ~once per 10 rounds",

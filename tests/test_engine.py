@@ -18,6 +18,7 @@ from _golden import GOLDEN, digest, fast_runs
 from _loop_kernels import (
     LOOP_KERNELS,
     _assign_loop,
+    _charges,
     _elect_loop,
     _steady_loop,
     aggregation_energy,
@@ -169,7 +170,6 @@ class TestInitialize:
 class TestElection:
     def test_all_dead_elects_nobody(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
-        sim.alive[:] = False
         sim.residual[:] = 0.0
         assert sim.elect_cluster_heads().size == 0
 
@@ -205,7 +205,7 @@ class TestElection:
     def test_true_average_floors_with_no_node_alive(self, config_sec3):
         sim = Simulation(config_sec3(avg_energy_mode="true"))
         assert sim.average_energy() == sim.residual.sum() / 100
-        sim.alive[:] = False
+        sim.residual[:] = 0.0
         assert sim.average_energy() == AVG_ENERGY_FLOOR_J
 
     def test_elected_nodes_become_ineligible(self, config_sec3, kernels):
@@ -231,9 +231,9 @@ def _record_uniforms(sim):
     drawn = []
     elect = sim.kernels.elect
 
-    def recording_elect(residual, alive, ineligible_until, u, *rest):
+    def recording_elect(residual, ineligible_until, u, *rest):
         drawn.append(u.copy())
-        return elect(residual, alive, ineligible_until, u, *rest)
+        return elect(residual, ineligible_until, u, *rest)
 
     sim.kernels = dataclasses.replace(sim.kernels, elect=recording_elect)
     return drawn
@@ -304,10 +304,10 @@ class TestFormClusters:
     def test_tie_breaks_to_lower_id(self, kernels):
         x = np.array([0.0, 10.0, 0.0, 5.0])
         y = np.array([0.0, 0.0, 10.0, 20.0])
-        alive = np.ones(4, dtype=np.bool_)
+        residual = np.ones(4)
         # node 0 is equidistant (10 m) from heads 1 and 2; node 3 is nearer 2
         for d2 in (None, _kernels._squared_distances(x[:, None], y[:, None], x, y)):
-            members, nearest = kernels.assign(x, y, alive, np.array([1, 2]), d2)
+            members, nearest = kernels.assign(x, y, residual, np.array([1, 2]), d2)
             assert members.tolist() == [0, 3] and nearest.tolist() == [1, 2]
 
     def test_positions_are_read_only(self, config_sec3):
@@ -319,7 +319,7 @@ class TestFormClusters:
 
     def test_no_heads_means_direct(self, config_sec3, kernels):
         sim = Simulation(config_sec3(), backend=kernels)
-        sim.alive[3] = False
+        sim.residual[3] = 0.0
         clusters = sim.form_clusters(np.array([], dtype=np.int64))
         _, members, nearest = clusters
         assert 3 not in members
@@ -365,8 +365,9 @@ class TestPairTables:
 
 
 def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
-    """Random positions, optional snapping to a coarse lattice, random deaths
-    and ``heads`` alive heads in ascending id order."""
+    """Random positions, optional snapping to a coarse lattice, residuals
+    with random deaths at 0.0, and ``heads`` alive heads in ascending id
+    order."""
     rng = np.random.default_rng(seed)
     x = rng.random(n) * side
     y = rng.random(n) * side
@@ -376,20 +377,20 @@ def _random_layout(seed, n, heads, side=100.0, lattice=None, dead_frac=0.0):
     alive = rng.random(n) >= dead_frac
     alive_ids = np.flatnonzero(alive)
     ch_ids = np.sort(rng.choice(alive_ids, size=min(heads, alive_ids.size), replace=False))
-    return x, y, alive, ch_ids.astype(np.int64)
+    return x, y, np.where(alive, 0.5, 0.0), ch_ids.astype(np.int64)
 
 
-def _pairs(alive, ch_ids):
-    return (int(alive.sum()) - ch_ids.size) * ch_ids.size
+def _pairs(residual, ch_ids):
+    return (np.count_nonzero(residual) - ch_ids.size) * ch_ids.size
 
 
-def _assert_matches_brute_force(x, y, alive, ch_ids):
+def _assert_matches_brute_force(x, y, residual, ch_ids):
     # the loop reference visits every head in id order
-    expected_members, expected_nearest = _assign_loop(x, y, alive, ch_ids, None)
+    expected_members, expected_nearest = _assign_loop(x, y, residual, ch_ids, None)
     # with the pair table too; it needs neither the dense nor the tiled search
     d2 = _kernels._squared_distances(x[:, None], y[:, None], x, y)
     for table in (None, d2):
-        members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, table)
+        members, nearest = _kernels._assign_numpy(x, y, residual, ch_ids, table)
         assert np.array_equal(members, expected_members)
         assert np.array_equal(nearest, expected_nearest)
 
@@ -405,17 +406,17 @@ class TestAssignExactness:
            heads=st.integers(0, 25), dead_frac=st.sampled_from([0.0, 0.3]))
     @settings(max_examples=60, deadline=None)
     def test_below_crossover(self, seed, n, heads, dead_frac):
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
-        assert _pairs(alive, ch_ids) < _kernels._TILE_MIN_PAIRS
-        _assert_matches_brute_force(x, y, alive, ch_ids)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        assert _pairs(residual, ch_ids) < _kernels._TILE_MIN_PAIRS
+        _assert_matches_brute_force(x, y, residual, ch_ids)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(900, 1100),
            heads=st.integers(70, 100), lattice=st.sampled_from([None, 5.0]))
     @settings(max_examples=12, deadline=None)
     def test_above_crossover(self, seed, n, heads, lattice):
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, lattice=lattice, dead_frac=0.1)
-        assert _pairs(alive, ch_ids) >= _kernels._TILE_MIN_PAIRS
-        _assert_matches_brute_force(x, y, alive, ch_ids)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, lattice=lattice, dead_frac=0.1)
+        assert _pairs(residual, ch_ids) >= _kernels._TILE_MIN_PAIRS
+        _assert_matches_brute_force(x, y, residual, ch_ids)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 300),
            heads=st.integers(32, 60), lattice=st.sampled_from([1.0, 2.0, 10.0]),
@@ -423,9 +424,9 @@ class TestAssignExactness:
     @settings(max_examples=60, deadline=None)
     def test_lattice_ties_and_duplicates(self, seed, n, heads, lattice, side):
         # a coarse integer lattice makes equal distances and shared positions common
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice)
         with _always_tiled:
-            _assert_matches_brute_force(x, y, alive, ch_ids)
+            _assert_matches_brute_force(x, y, residual, ch_ids)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(80, 300),
            heads=st.integers(32, 80))
@@ -433,22 +434,22 @@ class TestAssignExactness:
     def test_heads_on_tile_edges(self, seed, n, heads):
         side = 64.0
         t = int(np.sqrt(heads // 8))
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=side / (2 * t))
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, side=side, lattice=side / (2 * t))
         rng = np.random.default_rng(seed)
         x[ch_ids] = rng.integers(0, t + 1, ch_ids.size) * (side / t)
         y[ch_ids] = rng.integers(0, t + 1, ch_ids.size) * (side / t)
         # two members pin the bounding box to [0, side], so the edges are k * side / t
         x = np.append(x, [0.0, side])
         y = np.append(y, [0.0, side])
-        alive = np.append(alive, [True, True])
+        residual = np.append(residual, [0.5, 0.5])
         with _always_tiled:
-            _assert_matches_brute_force(x, y, alive, ch_ids)
+            _assert_matches_brute_force(x, y, residual, ch_ids)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(80, 300),
            heads=st.integers(33, 60))
     @settings(max_examples=40, deadline=None)
     def test_heads_in_one_corner_fall_back(self, seed, n, heads):
-        x, y, alive, ch_ids = _random_layout(seed, n, heads)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads)
         x[ch_ids] *= 0.05
         y[ch_ids] *= 0.05
         # a member in the far corner, whose tile has no head near it
@@ -456,7 +457,7 @@ class TestAssignExactness:
         x[0] = y[0] = 100.0
         spy = mock.patch.object(_kernels, "_nearest_dense", wraps=_kernels._nearest_dense)
         with _always_tiled, spy as dense:
-            _assert_matches_brute_force(x, y, alive, ch_ids)
+            _assert_matches_brute_force(x, y, residual, ch_ids)
         # the last call is the fallback search over every head
         fallback_members, _, fallback_heads = dense.call_args.args[:3]
         assert 100.0 in fallback_members
@@ -477,19 +478,19 @@ class TestAssignExactness:
         y = np.array(hy + [8.0, 0.0, 64.0])
         if transpose:
             x, y = y, x
-        alive = np.ones(x.size, dtype=bool)
+        residual = np.ones(x.size)
         ch_ids = np.arange(32, dtype=np.int64)
         with _always_tiled:
-            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
-            _assert_matches_brute_force(x, y, alive, ch_ids)
+            members, nearest = _kernels._assign_numpy(x, y, residual, ch_ids, None)
+            _assert_matches_brute_force(x, y, residual, ch_ids)
         assert members[0] == 32 and nearest[0] == 0
 
     def test_head_heavy_round_lists_near_heads_per_tile(self):
         # past the estimate's lifetime about 99% of alive nodes are heads:
         # 200 members and 19800 heads take the tiled path with 49 tiles a
         # side, and no (tiles x heads) mask may be built for them
-        x, y, alive, ch_ids = _random_layout(1, 20000, 19800)
-        members = np.setdiff1d(alive.nonzero()[0], ch_ids)
+        x, y, residual, ch_ids = _random_layout(1, 20000, 19800)
+        members = np.setdiff1d(residual.nonzero()[0], ch_ids)
         t = math.isqrt(ch_ids.size // _kernels._HEADS_PER_TILE)
         assert t == 49 and members.size * ch_ids.size >= _kernels._TILE_MIN_PAIRS
         args = (x[members], y[members], x[ch_ids], y[ch_ids], ch_ids)
@@ -506,10 +507,10 @@ class TestAssignExactness:
            heads=st.integers(0, 40), dead_frac=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
     @settings(max_examples=60, deadline=None)
     def test_dead_nodes_and_few_heads(self, seed, n, heads, dead_frac):
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
         with _always_tiled:
-            _assert_matches_brute_force(x, y, alive, ch_ids)
-            _assert_matches_brute_force(x, y, alive, ch_ids[:1])
+            _assert_matches_brute_force(x, y, residual, ch_ids)
+            _assert_matches_brute_force(x, y, residual, ch_ids[:1])
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
            heads=st.one_of(st.just(0), st.just(1), st.integers(2, 60)),
@@ -518,14 +519,14 @@ class TestAssignExactness:
     @settings(max_examples=100, deadline=None)
     def test_pair_table_equals_coordinates(self, seed, n, heads, lattice, side, dead_frac):
         # lattice ties, shared positions, dead nodes and rounds without heads
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice,
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice,
                                              dead_frac=dead_frac)
         d2, _ = _kernels._pair_tables(x, y, LEACH)
         searched = AssertionError("the table path searched")
         with (mock.patch.object(_kernels, "_nearest_dense", side_effect=searched),
               mock.patch.object(_kernels, "_nearest_tiled", side_effect=searched)):
-            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, d2)
-        expected_members, expected_nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
+            members, nearest = _kernels._assign_numpy(x, y, residual, ch_ids, d2)
+        expected_members, expected_nearest = _kernels._assign_numpy(x, y, residual, ch_ids, None)
         assert np.array_equal(members, expected_members)
         assert np.array_equal(nearest, expected_nearest)
 
@@ -536,12 +537,12 @@ class TestAssignExactness:
     @settings(max_examples=60, deadline=None)
     def test_clusters_partition_the_alive_nodes(self, tiled, seed, n, heads, dead_frac):
         # 32 or more heads give the tiled search at least 2 x 2 tiles
-        x, y, alive, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
+        x, y, residual, ch_ids = _random_layout(seed, n, heads, dead_frac=dead_frac)
         with _always_tiled if tiled else contextlib.nullcontext():
-            members, nearest = _kernels._assign_numpy(x, y, alive, ch_ids, None)
+            members, nearest = _kernels._assign_numpy(x, y, residual, ch_ids, None)
         assert members.dtype == nearest.dtype == np.int64
         assert np.intersect1d(members, ch_ids).size == 0
-        assert np.array_equal(np.union1d(members, ch_ids), np.flatnonzero(alive))
+        assert np.array_equal(np.union1d(members, ch_ids), np.flatnonzero(residual))
         assert (np.diff(members) > 0).all()
         assert np.isin(nearest, ch_ids).all()
         # one head per member, and none on rounds without heads
@@ -575,7 +576,7 @@ class TestAssignExactness:
 
 @st.composite
 def election_cases(draw):
-    """Inputs of one election round, covering dead and zero-energy nodes,
+    """Inputs of one election round, covering dead nodes (residual 0.0),
     ``e == t_low``, clamping at ``P_MAX``, epochs at ``_EPOCH_LIMIT`` and
     nodes that are not yet eligible."""
     n = draw(st.integers(1, 40))
@@ -589,7 +590,6 @@ def election_cases(draw):
     rnd = draw(st.integers(0, 10_000))
     return {
         "residual": residual,
-        "alive": np.array(column(st.booleans()), dtype=np.bool_),
         "ineligible_until": np.array(column(st.integers(0, 2 * rnd + 2)), dtype=np.int64),
         "u": np.array(column(st.floats(0.0, 1.0, exclude_max=True)), dtype=np.float64),
         "rnd": rnd,
@@ -629,8 +629,8 @@ class TestElectionKernels:
         # p = min(0.45 * 5 / 1e-3, P_MAX) draws with epoch 1; p near 1e-302
         # draws with the epoch capped at _EPOCH_LIMIT
         case = {
-            "residual": np.array([5.0, 1e-300]), "alive": np.ones(2, dtype=np.bool_),
-            "ineligible_until": np.zeros(2, dtype=np.int64), "u": np.array([0.5, 0.0]),
+            "residual": np.array([5.0, 1e-300]), "ineligible_until": np.zeros(2, dtype=np.int64),
+            "u": np.array([0.5, 0.0]),
             "rnd": 7, "avg": 1e-3, "pw": np.array([0.45, 0.45]), "factor": 1.0,
             "t_low": -1.0, "pw_low": 0.0,
         }
@@ -657,9 +657,9 @@ class TestTileKeys:
         pytest.param(40, 1, 0.0, None, None, id="40-below-crossover"),
     ])
     def test_tiled_equals_dense_across_uint8(self, heads, per_tile, offset, min_pairs, tiles):
-        x, y, alive, ch_ids = _random_layout(heads, 600, heads)
+        x, y, residual, ch_ids = _random_layout(heads, 600, heads)
         x += offset
-        member = alive.copy()
+        member = residual.astype(bool)
         member[ch_ids] = False
         mi = np.flatnonzero(member)
         args = (x[mi], y[mi], x[ch_ids], y[ch_ids], ch_ids)
@@ -691,11 +691,11 @@ class TestTileKeys:
 @st.composite
 def steady_cases(draw):
     """Inputs of one steady-state round: members of random alive heads, lone
-    heads, direct nodes on rounds without heads and dead nodes, with each
-    alive node's residual set below, at, just above or well above its
-    charge, so that deaths, overdraft and exactly-zero remainders occur,
-    and each dead node's residual at zero or above it.  In some rounds every
-    alive node's residual is above its charge, so that no node dies.
+    heads, direct nodes on rounds without heads and dead nodes (residual
+    0.0), with each alive node's residual set below, at, just above or well
+    above its charge, so that deaths, overdraft and exactly-zero remainders
+    occur.  In some rounds every alive node's residual is above its charge,
+    so that no node is overdrawn.
     Positions may sit on a coarse lattice, where nodes share positions and
     members sit on their heads.  The radio is either shipped profile."""
     n = draw(st.integers(1, 40))
@@ -718,46 +718,45 @@ def steady_cases(draw):
     tx_bs = _kernels._transmit(np.hypot(x - 100.0, y - 100.0), radio)
     case = {
         "x": x, "y": y, "tx_bs": tx_bs,
-        "residual": np.zeros(n), "alive": np.array([role != "dead" for role in roles]),
+        "residual": np.zeros(n),
         "ch_ids": np.array(heads, dtype=np.int64), "members": np.array(members, dtype=np.int64),
         "nearest": np.array(nearest, dtype=np.int64), "radio": radio,
         "hop": None, "head": _kernels._head_charge(np.arange(n), radio),
     }
-    (charge, _), _, _ = _steady(_steady_loop, case)
+    # the charges of the round, from the scalar law; a dead node is charged nothing
+    charge = _charges(x, y, tx_bs, case["ch_ids"], case["members"], case["nearest"], radio)
     scales = [1.0 + 2**-52, 3.0] if draw(st.booleans()) else [0.5, 1.0, 1.0 + 2**-52, 3.0]
     scale = np.array(draw(st.lists(st.sampled_from(scales), min_size=n, max_size=n)))
-    dead_residual = np.array(draw(st.lists(st.sampled_from([0.0, 0.25]),
-                                           min_size=n, max_size=n)))
-    case["residual"] = np.where(case["alive"], charge * scale, dead_residual)
+    case["residual"] = np.where([role != "dead" for role in roles], charge * scale, 0.0)
     return case
 
 
 def _steady(kernel, case):
     case = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in case.items()}
-    returned = kernel(**case)
-    return returned, case["residual"], case["alive"]
+    return kernel(**case), case["residual"]
 
 
 class TestSteadyKernels:
     @given(case=steady_cases())
     @settings(max_examples=300, deadline=None)
     def test_numpy_equals_loop(self, case):
-        (charge, overdraft), expected_residual, expected_alive = _steady(_steady_loop, case)
-        died = (case["alive"] & ~expected_alive).any()
+        (charge, overdraft), expected_residual = _steady(_steady_loop, case)
+        overdrawn = (overdraft > 0.0).any()
         # charged from the coordinates and from the hop table alike
         _, hop = _kernels._pair_tables(case["x"], case["y"], case["radio"])
         for table in (None, hop):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                returned, residual, alive = _steady(_kernels._steady_numpy, {**case, "hop": table})
+                returned, residual = _steady(_kernels._steady_numpy, {**case, "hop": table})
             assert len(returned) == 2
             assert np.array_equal(returned[0], charge)
-            # no overdraft array exactly on rounds without a death, where it is all zeros
-            assert (returned[1] is None) == (not died)
+            # no overdraft array exactly on rounds without an overdrawn node,
+            # where it is all zeros; an exact depletion dies at +0.0 without one
+            assert (returned[1] is None) == (not overdrawn)
             got = np.zeros(case["x"].size) if returned[1] is None else returned[1]
             assert np.array_equal(got, overdraft) and not np.signbit(got).any()
             assert np.array_equal(residual, expected_residual)
-            assert np.array_equal(alive, expected_alive)
+            assert not np.signbit(residual).any()
 
 
 class TestLoopFlavorParity:
@@ -785,7 +784,7 @@ class TestLoopFlavorParity:
 class TestSteadyState:
     def test_lone_head_without_members(self, kernels):
         sim = Simulation(tiny_config(n=3, e0=0.5), backend=kernels)
-        sim.alive[:] = [True, False, False]
+        sim.residual[1:] = 0.0
         clusters = sim.form_clusters(np.array([0], dtype=np.int64))
         before = sim.residual.copy()
         sim.steady_state(clusters)
@@ -818,22 +817,21 @@ class TestSteadyState:
         # every difference exact
         no_heads = np.array([], dtype=np.int64)
         residual = np.array([1.0, 0.25, 0.125, 0.0])
-        alive = np.array([True, True, True, False])
         charge, overdraft = kernels.steady(
-            np.zeros(4), np.zeros(4), np.full(4, 0.25), residual, alive,
+            np.zeros(4), np.zeros(4), np.full(4, 0.25), residual,
             no_heads, np.array([0, 1, 2]), no_heads, LEACH, None, None,
         )  # a round without heads reads neither table
         assert charge.tolist() == [0.25, 0.25, 0.25, 0.0]
         # residual > charge: alive with the difference; residual == charge:
-        # dead, no overdraft; residual < charge: dead, overdraft = shortfall
+        # dead at +0.0, no overdraft; residual < charge: dead at +0.0,
+        # overdraft = shortfall
         assert residual.tolist() == [0.75, 0.0, 0.0, 0.0]
-        assert alive.tolist() == [True, False, False, False]
+        assert not np.signbit(residual).any()
         assert overdraft.tolist() == [0.0, 0.0, 0.125, 0.0]
 
     def test_round_without_a_death_records_positive_zero(self, config_sec3, kernels):
         # dead nodes at zero, and no alive node dies: the overdraft is +0.0
         sim = Simulation(config_sec3(), backend=kernels)
-        sim.alive[:3] = False
         sim.residual[:3] = 0.0
         sim.step()
         result = sim.result()
@@ -863,6 +861,67 @@ class TestSteadyState:
         ):
             assert abs(total - (drop + overdraft)) <= 1e-9 * total
             assert charged == pytest.approx(total, rel=1e-9)
+
+
+class TestLiveness:
+    """The residual is the only record of liveness: a node is alive while it
+    is positive, and dead at exactly +0.0."""
+
+    def test_alive_is_read_only(self, config_sec3):
+        # a derived mask: a write to it could not kill a node, so none is allowed
+        sim = Simulation(config_sec3())
+        with pytest.raises(ValueError, match="read-only"):
+            sim.alive[0] = False
+        assert np.array_equal(sim.alive, sim.residual > 0.0)
+
+    @pytest.mark.parametrize("mode", ["estimated", "true"])
+    def test_dead_nodes_are_never_elected_listed_or_charged(self, config_sec3, kernels, mode):
+        # the verbatim radio runs to the last death in about 150 rounds,
+        # with overdrawn nodes and rounds without heads on the way
+        config = config_sec3(seed=1, radio="table1-verbatim", avg_energy_mode=mode)
+        sim = Simulation(config, backend=kernels)
+        charges = []
+        steady = sim.kernels.steady
+
+        def recording_steady(*args):
+            charge, overdraft = steady(*args)
+            charges.append(charge)
+            return charge, overdraft
+
+        sim.kernels = dataclasses.replace(sim.kernels, steady=recording_steady)
+        counts = []
+        while sim.alive_count() and sim.round < config.max_rounds:
+            dead = sim.residual == 0.0
+            ch_ids = sim.elect_cluster_heads()
+            clusters = sim.form_clusters(ch_ids)
+            sim.steady_state(clusters)
+            assert not dead[ch_ids].any() and not dead[clusters[1]].any(), sim.round
+            assert not charges[-1][dead].any(), sim.round
+            # no residual is negative or -0.0
+            assert not np.signbit(sim.residual).any(), sim.round
+            counts.append(np.count_nonzero(sim.residual))
+        result = sim.result()
+        assert result.alive.tolist() == counts and counts[-1] == 0
+        assert (result.ch_count == 0).any() and (result.overdraft_j > 0.0).any()
+
+    def test_exact_depletion_dies_without_overdraft(self, config_sec3, kernels):
+        # on a round without heads node 7 pays its tx_bs, exactly its residual
+        sim = Simulation(config_sec3(), backend=kernels)
+        clusters = sim.form_clusters(np.array([], dtype=np.int64))
+        sim.residual[7] = sim.tx_bs[7]
+        residual = sim.residual.copy()
+        _, overdraft = kernels.steady(sim.x, sim.y, sim.tx_bs, residual, *clusters,
+                                      sim.config.radio, None, None)
+        # nobody is overdrawn: the numpy kernel returns no array, the loop all zeros
+        assert (overdraft is None) == (kernels.name == "numpy")
+        assert overdraft is None or overdraft.tolist() == [0.0] * 100
+        sim.steady_state(clusters)
+        assert np.array_equal(sim.residual, residual) and sim.residual[7] == 0.0
+        assert not np.signbit(sim.residual).any()
+        result = sim.result()
+        assert result.alive.tolist() == [99]
+        assert result.overdraft_j.tolist() == [0.0]
+        assert math.copysign(1.0, result.overdraft_j[0]) == 1.0
 
 
 class TestRun:
