@@ -59,7 +59,7 @@ def _probability(e, avg, pw, factor, t_low, pw_low):
 
     ``avg`` is the round's average energy; the rest are the run's constants
     from ``protocols.election_constants``.  ``pw`` is each node's
-    ``p_opt * w_class``, ``factor`` the population's ``1 + m*(a + m0*b)``,
+    ``p_opt * w_class``, ``factor`` the population's ``1 + m*a + m*m0*b``,
     and ``pw_low`` the ``p_opt * w_low`` that replaces ``pw`` at or below
     ``t_low``; a negative ``t_low`` disables the low-energy rule.  ``e``,
     ``avg`` and ``pw`` are scalars or arrays that broadcast to one shape;

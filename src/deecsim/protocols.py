@@ -5,7 +5,7 @@ Covers the heterogeneous population, the per-protocol election constants
 (:func:`make_energy_estimate`, over :func:`expected_distances`).
 
 The four protocols share one election law: an alive node's probability is
-``p_opt * w * E / ((1 + m*(a + m0*b)) * avg_energy)``, clamped to
+``p_opt * w * E / ((1 + m*a + m*m0*b) * avg_energy)``, clamped to
 ``_kernels.P_MAX``, where ``E`` is its residual energy and ``w`` a
 class-dependent weight; it draws against the rotating threshold
 ``p / (1 - p * (r mod round(1/p)))``.  The law itself is written once, in
@@ -79,8 +79,13 @@ class HeterogeneityParams:
 
     @property
     def total_energy_factor(self) -> float:
-        """Ratio of network total energy to ``n * e0``: 1 + m*(a + m0*b)."""
-        return 1.0 + self.m * (self.a + self.m0 * self.b)
+        """Ratio ``1 + m*a + m*m0*b`` of the nominal network energy to ``n * e0``.
+
+        The election probabilities are normalized with it.  It is NOT the
+        per-class initial energies' sum: it books the ``b`` bonus on top of
+        ``a`` for super nodes, while actual super nodes start at ``e0*(1+b)``.
+        """
+        return 1.0 + self.m * self.a + self.m * self.m0 * self.b
 
     def initial_energy(self, node_class: NodeClass) -> float:
         """Starting energy of the class; ``ValueError`` if not a NodeClass."""
@@ -100,16 +105,8 @@ class HeterogeneityParams:
         return n_normal, n_advanced, n_super
 
     def total_energy(self, n: int) -> float:
-        """Nominal network energy ``n * e0 * (1 + m*(a + m0*b))`` in joules.
-
-        This is the denominator convention the election probabilities are
-        normalized with.  Note it is NOT the sum of the per-class initial
-        energies: the convention books the ``b`` bonus on top of ``a`` for
-        super nodes, while actual super nodes start at ``e0*(1+b)``.
-        """
-        base = n * self.e0
-        rich = base * self.m
-        return base + rich * self.a + rich * self.m0 * self.b
+        """Nominal network energy ``n * e0 * total_energy_factor`` in joules."""
+        return n * self.e0 * self.total_energy_factor
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,11 @@ from deecsim import (
     ProtocolConfig,
     Simulation,
     expected_distances,
+    get_backend,
     run,
     summarize,
 )
-from deecsim._kernels import _elect_numpy, _probability, _rotation
+from deecsim._kernels import _elect_numpy, _probability, _rotation, _squared_distances
 from deecsim.cli import load_spec, run_experiment
 from deecsim.protocols import election_constants
 
@@ -120,6 +121,52 @@ def test_criterion_2_lifetime_margins(batch, spec):
 def test_batch_matches_golden_digests(batch):
     results, _ = batch
     assert {p: digest(runs) for p, runs in results.items()} == GOLDEN["paper-sec3"]
+
+
+def test_decision_margins_first_seed(spec):
+    """Every decision of the first seed's four runs clears its threshold by
+    far more than float rounding moves it: the election draw ``u`` against
+    the threshold ``t``, a member's nearest head against its second nearest,
+    and a node's residual against its charge.  A last-bit change to a
+    constant or a sum therefore cannot flip the alive, head or packet series."""
+    kernels = get_backend()
+    low = dict.fromkeys(("election", "nearest", "death"), np.inf)
+    exact = dict.fromkeys(low, 0)
+
+    def record(name, margins):
+        if margins.size:
+            low[name] = min(low[name], float(margins.min()))
+            exact[name] += int(np.count_nonzero(margins == 0.0))
+
+    def elect(residual, ineligible_until, u, rnd, avg, pw, *law):
+        _, t = _rotation(_probability(residual, avg, pw, *law), rnd)
+        drawn = (ineligible_until <= rnd) & (t > 0.0)
+        record("election", np.abs(u[drawn] - t[drawn]) / np.minimum(t[drawn], 1.0))
+        return kernels.elect(residual, ineligible_until, u, rnd, avg, pw, *law)
+
+    def assign(x, y, residual, ch_ids, d2):
+        members, nearest = kernels.assign(x, y, residual, ch_ids, d2)
+        if ch_ids.size >= 2 and members.size:
+            block = _squared_distances(x[members, None], y[members, None], x[ch_ids], y[ch_ids])
+            best, second = np.partition(block, 1, axis=1)[:, :2].T
+            record("nearest", (second - best) / best)
+        return members, nearest
+
+    def steady(x, y, tx_bs, residual, *rest):
+        before = residual.copy()
+        charge, overdraft = kernels.steady(x, y, tx_bs, residual, *rest)
+        charged = charge > 0.0
+        record("death", np.abs(before[charged] - charge[charged]) / charge[charged])
+        return charge, overdraft
+
+    backend = replace(kernels, elect=elect, assign=assign, steady=steady)
+    rounds = sum(run(spec.network_config(protocol, spec.seeds[0]), backend).rounds
+                 for protocol in spec.protocols)
+    print(f"decision margins over {rounds} run-rounds: election {low['election']:.3g}, "
+          f"nearest head {low['nearest']:.3g}, death {low['death']:.3g}; "
+          f"exact ties {exact['election'] + exact['nearest']}, "
+          f"exact depletions {exact['death']}")
+    assert all(margin > 1e-12 for margin in low.values()), low
 
 
 def test_criterion_3_packet_dominance(batch):

@@ -51,7 +51,21 @@ class TestHeterogeneityParams:
     def test_total_energy_matches_factor(self, het_sec3):
         factor = het_sec3.total_energy_factor
         assert factor == pytest.approx(4.28, rel=1e-12)
-        assert het_sec3.total_energy(100) == pytest.approx(100 * 0.5 * factor, rel=1e-12)
+        assert het_sec3.total_energy(100) == 100 * 0.5 * factor
+        assert het_sec3.total_energy(100) / 100 == 0.5 * factor
+
+    @given(
+        n=st.integers(min_value=1, max_value=100_000),
+        m=st.floats(min_value=0.0, max_value=1.0),
+        m0=st.floats(min_value=0.0, max_value=1.0),
+        a=st.floats(min_value=0.0, max_value=10.0),
+        extra=st.floats(min_value=0.0, max_value=10.0),
+        e0=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    def test_total_energy_is_the_factor_form(self, n, m, m0, a, extra, e0):
+        # the estimate's E_total and the election's factor: one float form
+        het = HeterogeneityParams(m=m, m0=m0, a=a, b=a + extra, e0=e0)
+        assert het.total_energy(n) == n * e0 * het.total_energy_factor
 
     def test_initial_energies(self, het_sec3):
         assert het_sec3.initial_energy(NodeClass.NORMAL) == 0.5
