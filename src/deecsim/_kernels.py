@@ -13,25 +13,18 @@ gates (C4, C5, C8, C9) test these same functions;
 The package writes the radio law only here; the test suite writes its
 scalar form once, beside its loop reference kernels, as the independent
 reference.  Every kernel that applies the radio law (:func:`_transmit`,
-:func:`_head_charge`, :func:`_pair_tables` and the steady kernel) takes the
+:func:`_head_charge`, :func:`_run_tables` and the steady kernel) takes the
 run's ``RadioParams`` as one argument and reads its fields by name, so
 this module imports nothing from the package.
+
+The engine builds every table a run precomputes with one call of
+:func:`_run_tables`, which describes them and alone decides the node count
+above which the pair tables are ``None``.
 
 The round kernels hand each other ids, not per-node codes: the election
 returns the head ids ``ch_ids``, the assignment the ``(members, nearest)``
 of those heads, and the steady kernel the per-node charges from the
 three; the engine takes every count and sum of the round, packets too.
-
-Nodes never move during a run.  So the engine asks :func:`_pair_tables`
-once per run for two (n, n) pair tables: every pair's squared distance
-``d2`` and member-to-head hop cost ``hop``.  It returns them for
-``n <= _PAIR_TABLE_MAX_NODES`` and ``(None, None)`` above.  With tables,
-the assignment reads its members x heads block from ``d2`` and calls
-neither :func:`_nearest_dense` nor :func:`_nearest_tiled`, and the steady
-kernel charges members from ``hop``.  The runs stay bit-identical: each
-entry is the elementwise IEEE expression the kernels evaluate without a
-table, IEEE subtraction is exactly antisymmetric so ``d2`` is
-bit-symmetric, and ``argmin`` still sees the heads in ascending id order.
 
 A :class:`Backend` bundles the three; :func:`get_backend` returns the only
 set, named ``"numpy"``.  ``Simulation`` accepts another ``Backend`` with the
@@ -145,27 +138,36 @@ def _nearest_dense(mx, my, hx, hy, ids):
     return ids[_squared_distances(mx[:, None], my[:, None], hx, hy).argmin(axis=1)]
 
 
-# Largest n whose runs get pair tables.  They hold 16 * n**2 bytes (4.2 MB
-# at 512) and take 0.2-1.5 ms to build at n = 100, 10 ms at n = 512 and
-# 30 ms at n = 700.  Measured on engine rounds (2-core x86-64, numpy 2.4),
-# a round's assign, steady and record took 14 us with tables against 20 us
-# without at n = 100 and 63 against 104 us at n = 512, and tables won at
-# n = 700 on earlier kernels; so memory and build time set the cutoff.
+# Largest n whose runs get pair tables.  They hold 16 * n**2 bytes (160 kB
+# at n = 100, 4.2 MB at 512) and take 0.14 ms to build at n = 100 and 8 ms
+# at 512.  Engine rounds at n = 100 (2-core x86-64, numpy 2.4; paper-sec3
+# population, 4 protocols x 3 seeds x 500 rounds, 20 alternated repetitions,
+# run twice) took a median 30.5-32.8 us with both tables, 35.0-36.3 us
+# with d2 only, 33.9-34.0 us with hop only and 39.2-39.3 us with neither, all
+# bit-identical; so both tables stay, and memory and build time set the cutoff.
 _PAIR_TABLE_MAX_NODES = 512
 
 
-def _pair_tables(x, y, radio):
-    """The (n, n) tables ``(d2, hop)`` of every node pair ``(i, j)``, or
-    ``(None, None)`` for more than ``_PAIR_TABLE_MAX_NODES`` nodes.
+def _run_tables(x, y, bs, radio):
+    """The tables ``(tx_bs, d2, hop, head)`` that a run of nodes at ``(x, y)``
+    reads every round, for its base station ``bs = (bx, by)`` and ``radio``.
 
-    ``d2[i, j]`` is ``_squared_distances``' entry for the pair and
-    ``hop[i, j]`` the ``_transmit`` cost of a packet over its distance.
-    Both tables are symmetric bit for bit.
+    Nodes never move, so they hold for the whole run.  ``tx_bs[i]`` is node
+    i's ``_transmit`` cost to the base station; ``d2[i, j]`` and
+    ``hop[i, j]`` are every pair's ``_squared_distances`` entry and
+    ``_transmit`` cost, both ``None`` above ``_PAIR_TABLE_MAX_NODES`` nodes;
+    ``head[k]`` is ``_head_charge(k, radio)`` for ``k < n``.  Each entry is
+    the expression the kernels evaluate without a table, and IEEE
+    subtraction is exactly antisymmetric, so ``d2`` is bit-symmetric and a
+    run reads the same bits either way.
     """
-    if x.size > _PAIR_TABLE_MAX_NODES:
-        return None, None
-    d2 = _squared_distances(x[:, None], y[:, None], x, y)
-    return d2, _transmit(np.sqrt(d2), radio)
+    bx, by = bs
+    tx_bs = _transmit(np.sqrt(_squared_distances(x, y, bx, by)), radio)
+    d2 = hop = None
+    if x.size <= _PAIR_TABLE_MAX_NODES:
+        d2 = _squared_distances(x[:, None], y[:, None], x, y)
+        hop = _transmit(np.sqrt(d2), radio)
+    return tx_bs, d2, hop, _head_charge(np.arange(x.size), radio)
 
 
 # Members x heads pairs below which the dense block decides every member.
@@ -269,7 +271,7 @@ def _assign_numpy(x, y, residual, ch_ids, d2):
     id.  With no heads, ``members`` is every alive node, each uplinking
     straight to the BS, and ``nearest`` is empty.
 
-    Given ``_pair_tables``' ``d2``, the members x heads block is read from
+    Given ``_run_tables``' ``d2``, the members x heads block is read from
     it (the heads' rows, transposed, at the members) and no distance is
     computed.  Without it, ``_nearest_tiled`` searches the coordinates; it
     picks the dense block itself where tiles do not pay or cannot be built.
@@ -292,14 +294,14 @@ def _steady_numpy(x, y, tx_bs, residual, ch_ids, members, nearest, radio, hop, h
     ``ch_ids``, ``members`` and ``nearest`` are the round's heads and
     ``_assign_numpy``'s result, ``radio`` the run's ``RadioParams``.  Each
     member transmits to its nearest head over the actual distance (read from
-    ``_pair_tables``' ``hop`` unless it is ``None``) and a head with ``k``
-    members pays its ``tx_bs`` plus ``head[k]``, the run's table of
-    ``_head_charge(k, radio)`` for ``k < n``; on rounds without heads
-    each member uplinks directly and pays ``tx_bs``.  A node dies at +0.0,
-    which an exact depletion leaves (``x - x`` is +0.0); a node overdrawn
-    below it is clamped there, and its shortfall is the overdraft.  Dead
-    nodes carry no charge.  Returns ``(charge, overdraft)`` per node, the
-    overdraft ``None`` (all zeros) when no node is overdrawn.
+    ``_run_tables``' ``hop`` unless it is ``None``) and a head with ``k``
+    members pays its ``tx_bs`` plus ``head[k]``, the run's head table; on
+    rounds without heads each member uplinks directly and pays ``tx_bs``.
+    A node dies at +0.0, which an exact depletion leaves (``x - x`` is
+    +0.0); a node overdrawn below it is clamped there, and its shortfall is
+    the overdraft.  Dead nodes carry no charge.  Returns ``(charge,
+    overdraft)`` per node, the overdraft ``None`` (all zeros) when no node
+    is overdrawn.
     """
     n = x.shape[0]
     charge = np.zeros(n, dtype=np.float64)
@@ -327,10 +329,10 @@ class Backend:
 
     A node is alive while its residual is positive.  ``steady`` returns the
     per-node ``(charge, overdraft)``, the overdraft ``None`` (all zeros) if
-    no node is overdrawn.  Every call gets the run's tables last, ``d2`` to
-    ``assign`` and ``hop`` and ``head`` to ``steady``, with the pair tables
-    ``None`` above ``_PAIR_TABLE_MAX_NODES``; a kernel set may ignore them,
-    as they hold only what the coordinates and radio give.
+    no node is overdrawn.  Every call gets the run's ``_run_tables`` last,
+    ``d2`` to ``assign`` and ``hop`` and ``head`` to ``steady``; a kernel
+    set may ignore them, as they hold only what the coordinates and radio
+    give.
     """
 
     name: str

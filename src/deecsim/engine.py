@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocols as proto
-from ._kernels import (Backend, _head_charge, _pair_tables, _squared_distances, _transmit,
-                       get_backend)
+from ._kernels import Backend, _run_tables, get_backend
 from .metrics import SimResult
 from .model import FieldGeometry, NodeClass, RadioParams
 from .protocols import (
@@ -69,13 +68,9 @@ class Simulation:
     as ``get_backend()``'s.
 
     Node positions ``x`` and ``y`` are fixed for the run and read-only.
-    The constructor takes the run's pair tables ``pair_d2`` (squared
-    distances) and ``pair_hop`` (member-to-head transmit costs) from
-    ``_kernels._pair_tables``, which decides the node-count cutoff: up to
-    it they hold 16 * n**2 bytes in all and the round kernels read
-    distances and hop costs from them; above it both are ``None`` and the
-    kernels compute from the coordinates.  Either way a run's numbers are
-    the same bits (see ``_kernels``).
+    The constructor takes the run's tables ``tx_bs``, ``pair_d2``,
+    ``pair_hop`` and ``_head_table`` from ``_kernels._run_tables``, which
+    describes them.
     """
 
     def __init__(self, config: NetworkConfig, backend: Backend | None = None):
@@ -88,7 +83,7 @@ class Simulation:
         positions = self.rng.random((n, 2)) * side
         self.x = np.ascontiguousarray(positions[:, 0])
         self.y = np.ascontiguousarray(positions[:, 1])
-        # the pair tables and tx_bs are computed from these once
+        # the run's tables are computed from these once
         self.x.flags.writeable = self.y.flags.writeable = False
 
         counts = config.het.class_counts(n)
@@ -112,11 +107,8 @@ class Simulation:
         # The election law's are per-node p_opt*w, then factor, t_low and pw_low.
         pw_by_class, *rest = proto.election_constants(config.protocol, config.het)
         self._law = (pw_by_class[node_class], *rest)
-        bx, by = config.geometry.bs_position
-        dist_to_bs = np.sqrt(_squared_distances(self.x, self.y, bx, by))
-        self.tx_bs = _transmit(dist_to_bs, config.radio)
-        self.pair_d2, self.pair_hop = _pair_tables(self.x, self.y, config.radio)
-        self._head_table = _head_charge(np.arange(n), config.radio)
+        self.tx_bs, self.pair_d2, self.pair_hop, self._head_table = _run_tables(
+            self.x, self.y, config.geometry.bs_position, config.radio)
         self._uniforms = iter(())  # the rows of the last chunk not yet taken
         self.round = 0
         # one row per round: (alive, packets to BS, packets to heads, heads)

@@ -4,9 +4,9 @@ and the constants of the first-order radio.
 Under that radio, transmission costs ``bits * e_elec`` for the electronics
 plus an amplifier term that is quadratic in distance below the crossover
 ``d0`` (free-space) and quartic at or above it (multipath).  Reception and
-aggregation cost the electronics / aggregation constants only.  The engine
-charges every node through ``_kernels._transmit`` and
-``_kernels._head_charge``, which apply this law to ``RadioParams``.
+aggregation cost the electronics / aggregation constants only.
+``_kernels`` writes this law once, over ``RadioParams``, and builds each
+run's tables with it in ``_kernels._run_tables``.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from _golden import GOLDEN, digest
+from _golden import GOLDEN, digest, fast_runs
 from _loop_kernels import round_charges
+from _margins import DecisionMargins
 
 from deecsim import (
     RADIO_PROFILES,
@@ -31,11 +32,10 @@ from deecsim import (
     ProtocolConfig,
     Simulation,
     expected_distances,
-    get_backend,
     run,
     summarize,
 )
-from deecsim._kernels import _elect_numpy, _probability, _rotation, _squared_distances
+from deecsim._kernels import _elect_numpy, _probability, _rotation
 from deecsim.cli import load_spec, run_experiment
 from deecsim.protocols import election_constants
 
@@ -129,44 +129,25 @@ def test_decision_margins_first_seed(spec):
     the threshold ``t``, a member's nearest head against its second nearest,
     and a node's residual against its charge.  A last-bit change to a
     constant or a sum therefore cannot flip the alive, head or packet series."""
-    kernels = get_backend()
-    low = dict.fromkeys(("election", "nearest", "death"), np.inf)
-    exact = dict.fromkeys(low, 0)
-
-    def record(name, margins):
-        if margins.size:
-            low[name] = min(low[name], float(margins.min()))
-            exact[name] += int(np.count_nonzero(margins == 0.0))
-
-    def elect(residual, ineligible_until, u, rnd, avg, pw, *law):
-        _, t = _rotation(_probability(residual, avg, pw, *law), rnd)
-        drawn = (ineligible_until <= rnd) & (t > 0.0)
-        record("election", np.abs(u[drawn] - t[drawn]) / np.minimum(t[drawn], 1.0))
-        return kernels.elect(residual, ineligible_until, u, rnd, avg, pw, *law)
-
-    def assign(x, y, residual, ch_ids, d2):
-        members, nearest = kernels.assign(x, y, residual, ch_ids, d2)
-        if ch_ids.size >= 2 and members.size:
-            block = _squared_distances(x[members, None], y[members, None], x[ch_ids], y[ch_ids])
-            best, second = np.partition(block, 1, axis=1)[:, :2].T
-            record("nearest", (second - best) / best)
-        return members, nearest
-
-    def steady(x, y, tx_bs, residual, *rest):
-        before = residual.copy()
-        charge, overdraft = kernels.steady(x, y, tx_bs, residual, *rest)
-        charged = charge > 0.0
-        record("death", np.abs(before[charged] - charge[charged]) / charge[charged])
-        return charge, overdraft
-
-    backend = replace(kernels, elect=elect, assign=assign, steady=steady)
-    rounds = sum(run(spec.network_config(protocol, spec.seeds[0]), backend).rounds
+    margins = DecisionMargins()
+    rounds = sum(run(spec.network_config(protocol, spec.seeds[0]), margins.backend).rounds
                  for protocol in spec.protocols)
-    print(f"decision margins over {rounds} run-rounds: election {low['election']:.3g}, "
-          f"nearest head {low['nearest']:.3g}, death {low['death']:.3g}; "
-          f"exact ties {exact['election'] + exact['nearest']}, "
-          f"exact depletions {exact['death']}")
-    assert all(margin > 1e-12 for margin in low.values()), low
+    print(f"decision margins over {rounds} run-rounds: {margins}")
+    assert all(margin > 1e-12 for margin in margins.low.values()), margins.low
+
+
+def test_decision_margins_fast_set():
+    """The golden fast set's decision margins, per group of runs: the
+    ``table1-verbatim`` runs in each average-energy mode and the n = 2000
+    run.  Reported, not gated; each kind of decision must occur."""
+    groups = {}
+    for config in fast_runs().values():
+        group = config.protocol.avg_energy_mode if config.n == 100 else f"n{config.n}"
+        margins = groups.setdefault(group, DecisionMargins())
+        run(config, margins.backend)
+    for group, margins in groups.items():
+        print(f"decision margins of the fast set, {group}: {margins}")
+        assert all(np.isfinite(margin) for margin in margins.low.values()), (group, margins.low)
 
 
 def test_criterion_3_packet_dominance(batch):

@@ -340,6 +340,9 @@ class TestPairTables:
         assert sim.pair_d2.nbytes + sim.pair_hop.nbytes == 16 * n**2
         over = Simulation(dataclasses.replace(config_sec3(), n=n + 1))
         assert over.pair_d2 is None and over.pair_hop is None
+        # the per-node tables are built on both sides of the cutoff
+        for built, size in ((sim, n), (over, n + 1)):
+            assert built.tx_bs.shape == built._head_table.shape == (size,)
 
     def test_tables_are_the_kernels_expressions(self, config_sec3):
         sim = Simulation(config_sec3(radio="table1-verbatim"))
@@ -521,7 +524,7 @@ class TestAssignExactness:
         # lattice ties, shared positions, dead nodes and rounds without heads
         x, y, residual, ch_ids = _random_layout(seed, n, heads, side=side, lattice=lattice,
                                              dead_frac=dead_frac)
-        d2, _ = _kernels._pair_tables(x, y, LEACH)
+        _, d2, _, _ = _kernels._run_tables(x, y, (0.0, 0.0), LEACH)
         searched = AssertionError("the table path searched")
         with (mock.patch.object(_kernels, "_nearest_dense", side_effect=searched),
               mock.patch.object(_kernels, "_nearest_tiled", side_effect=searched)):
@@ -743,7 +746,7 @@ class TestSteadyKernels:
         (charge, overdraft), expected_residual = _steady(_steady_loop, case)
         overdrawn = (overdraft > 0.0).any()
         # charged from the coordinates and from the hop table alike
-        _, hop = _kernels._pair_tables(case["x"], case["y"], case["radio"])
+        _, _, hop, _ = _kernels._run_tables(case["x"], case["y"], (100.0, 100.0), case["radio"])
         for table in (None, hop):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -1050,16 +1053,16 @@ class TestGoldenDigests:
         tables = []
 
         def record_tables(*args):
-            tables.append(_kernels._pair_tables(*args))
+            tables.append(_kernels._run_tables(*args))
             return tables[-1]
 
         # _tile_order runs only once the tiled search has built its tiles
         tiled_spy = mock.patch.object(_kernels, "_tile_order", wraps=_kernels._tile_order)
-        tables_spy = mock.patch.object(engine, "_pair_tables", side_effect=record_tables)
+        tables_spy = mock.patch.object(engine, "_run_tables", side_effect=record_tables)
         with tiled_spy as tiled, tables_spy:
             result = run(config)
         assert digest([result]) == GOLDEN["runs"][name]
-        (d2, hop), = tables
+        (_, d2, hop, _), = tables
         # the n = 2000 run is in the set for the tiled search without pair
         # tables; the rest run on the tables and die uncapped
         if config.n > 100:
